@@ -30,6 +30,7 @@ from .process import (
     merge_reads,
     read_positions,
     read_sets_from_table,
+    read_tsv_rows,
     relative_copy_number,
     to_genomic,
 )
@@ -39,6 +40,10 @@ from .simulate import GAIN, LOSS, estimate_baseline, sample_nhpp, sine_baseline,
 log = logging.getLogger("seqscan")
 
 MIN_READS_PER_CHROM = 10
+SEGMENT_COLUMNS = (
+    "chrom", "start_bp", "end_bp", "start_idx", "end_idx", "n_case", "n_control", "p_hat", "rel_cn",
+)
+TRUTH_COLUMNS = ("chrom", "start_bp", "end_bp", "multiplier")
 
 
 @dataclass
@@ -76,6 +81,8 @@ class RunConfig:
             raise InputError("--alpha and --beta must be positive")
         if self.threads < 1:
             raise InputError("--threads must be >= 1")
+        if self.band_grid_step < 1:
+            raise InputError("--band-grid-step must be >= 1")
 
 
 def _fmt(x) -> str:
@@ -192,7 +199,7 @@ def run_segment(config: RunConfig) -> int:
         )
     _write_atomic(
         os.path.join(config.out_dir, "segments.tsv"),
-        "chrom\tstart_bp\tend_bp\tstart_idx\tend_idx\tn_case\tn_control\tp_hat\trel_cn",
+        "\t".join(SEGMENT_COLUMNS),
         seg_rows,
     )
     _write_atomic(
@@ -269,7 +276,7 @@ def run_simulate(config: RunConfig) -> int:
     )
     _write_atomic(
         os.path.join(config.out_dir, "truth.tsv"),
-        "chrom\tstart_bp\tend_bp\tmultiplier",
+        "\t".join(TRUTH_COLUMNS),
         truth_rows,
     )
     return 0
@@ -278,35 +285,17 @@ def run_simulate(config: RunConfig) -> int:
 def _read_truth(path: str) -> dict[str, list[int]]:
     """Truth TSV -> per-chromosome sorted breakpoint positions (bp)."""
     out: dict[str, list[int]] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise InputError(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")
-            try:
-                start, end = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: malformed coordinates")
-            out.setdefault(parts[0], []).extend((start, end))
+    rows = read_tsv_rows(path, TRUTH_COLUMNS, int_columns=("start_bp", "end_bp"))
+    for _, (chrom, start, end, _) in rows:
+        out.setdefault(chrom, []).extend((start, end))
     return {chrom: sorted(v) for chrom, v in out.items()}
 
 
 def _read_called_indices(path: str) -> dict[str, list[int]]:
     """Segments TSV -> per-chromosome called change points as read indices."""
     out: dict[str, list[int]] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 5:
-                raise InputError(f"{path}:{lineno}: expected segment columns")
-            chrom, start_idx = parts[0], int(parts[3])
-            out.setdefault(chrom, []).append(start_idx)
+    for _, parts in read_tsv_rows(path, SEGMENT_COLUMNS, int_columns=("start_idx",)):
+        out.setdefault(parts[0], []).append(parts[3])
     # the first segment of each chromosome starts at read 1: not a change point
     return {chrom: sorted(v)[1:] for chrom, v in out.items()}
 

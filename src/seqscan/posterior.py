@@ -316,7 +316,7 @@ def ci_band(
     distinct read position; a position maps to the last read at or before it
     (the probability is constant between reads).  Band values are constant
     between consecutive candidate boundary locations, so quantiles are
-    computed once per such block and cached.
+    computed once per such block and scattered to its grid positions.
     """
     if not (0.0 < level < 1.0):
         raise InputError(f"level must be in (0, 1), got {level}")
@@ -355,26 +355,25 @@ def ci_band(
         left = boundaries[k - 1] if k >= 1 else None
         right = boundaries[k] if k < len(boundaries) else None
         pairs = _segment_mixture_pairs(process, k, segs, left, right, alpha, beta, epsilon)
-        cl_sorted = np.sort(pairs["CL"])
-        cr_sorted = np.sort(pairs["CR"])
-        cache: dict = {}
+        # the class mixture changes only where t crosses a candidate boundary:
+        # one block per distinct (CL rank, CR rank), quantiles inverted once each
+        rank_cl = np.searchsorted(np.sort(pairs["CL"]), t_of_grid[sel])
+        rank_cr = np.searchsorted(np.sort(pairs["CR"]), t_of_grid[sel])
+        key = rank_cl * (pairs["CR"].size + 1) + rank_cr
+        _, first, block = np.unique(key, return_index=True, return_inverse=True)
+        bounds = np.empty((first.size, 2))
         prev = None
-        for g in sel:
-            t = int(t_of_grid[g])
-            key = (
-                int(np.searchsorted(cl_sorted, t)),
-                int(np.searchsorted(cr_sorted, t)),
+        for b, g in enumerate(sel[first]):
+            mix = _class_mixture(pairs, int(t_of_grid[g]))
+            # neighboring blocks shift the quantiles only slightly
+            b_lo = (prev[0] - 0.03, prev[0] + 0.03) if prev is not None else None
+            b_hi = (prev[1] - 0.03, prev[1] + 0.03) if prev is not None else None
+            bounds[b] = (
+                mixture_quantile(mix, q_lo, bracket=b_lo),
+                mixture_quantile(mix, q_hi, bracket=b_hi),
             )
-            if key not in cache:
-                mix = _class_mixture(pairs, t)
-                # neighboring blocks shift the quantiles only slightly
-                b_lo = (prev[0] - 0.03, prev[0] + 0.03) if prev else None
-                b_hi = (prev[1] - 0.03, prev[1] + 0.03) if prev else None
-                cache[key] = (
-                    mixture_quantile(mix, q_lo, bracket=b_lo),
-                    mixture_quantile(mix, q_hi, bracket=b_hi),
-                )
-            prev = cache[key]
-            lower[g], upper[g] = prev
+            prev = bounds[b]
+        lower[sel] = bounds[block, 0]
+        upper[sel] = bounds[block, 1]
 
     return PosteriorBand(grid=grid, lower=lower, upper=upper, point_est=point)

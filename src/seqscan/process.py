@@ -183,6 +183,40 @@ def to_genomic(taus, process: CombinedProcess) -> list[GenomicSegment]:
     return out
 
 
+def read_tsv_rows(path, columns: tuple[str, ...], int_columns: tuple[str, ...] = ()):
+    """Yield (line number, fields) for every data row of a TSV file.
+
+    Blank lines and lines starting with '#' are skipped.  Every row must have
+    exactly ``len(columns)`` tab-separated fields; the fields named in
+    ``int_columns`` are converted to int.  A missing, unreadable or non-text
+    file and a malformed row raise InputError, the latter prefixed with
+    "path:lineno:".
+    """
+    want = len(columns)
+    to_int = [columns.index(name) for name in int_columns]
+    try:
+        with open(path) as fh:
+            # one read and split: cheaper per row than iterating the file object
+            lines = fh.read().split("\n")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"cannot read {path}: not a text file") from None
+    for lineno, line in enumerate(lines, start=1):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != want:
+            raise InputError(f"{path}:{lineno}: expected {want} columns, got {len(parts)}")
+        try:
+            for c in to_int:
+                parts[c] = int(parts[c])
+        except ValueError:
+            msg = f"{path}:{lineno}: {columns[c]} {parts[c]!r} is not an integer"
+            raise InputError(msg) from None
+        yield lineno, parts
+
+
 def read_positions(path, label_mode: bool = False) -> dict:
     """Parse a read-position TSV into per-chromosome position lists.
 
@@ -191,31 +225,21 @@ def read_positions(path, label_mode: bool = False) -> dict:
     with '#' are ignored.  Returns {chrom: [positions]} in two-column mode,
     {chrom: ([case], [control])} in label mode.
     """
+    columns = ("chrom", "position", "label") if label_mode else ("chrom", "position")
     table: dict = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            want = 3 if label_mode else 2
-            if len(parts) != want:
-                raise InputError(f"{path}:{lineno}: expected {want} columns, got {len(parts)}")
-            chrom = parts[0]
-            try:
-                pos = int(parts[1])
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: position {parts[1]!r} is not an integer")
-            if pos < 0:
-                raise InputError(f"{path}:{lineno}: negative position {pos}")
-            if label_mode:
-                lab = parts[2]
-                if lab not in ("case", "control"):
-                    raise InputError(f"{path}:{lineno}: label {lab!r} not in {{case, control}}")
-                bucket = table.setdefault(chrom, ([], []))
-                bucket[0 if lab == "case" else 1].append(pos)
-            else:
-                table.setdefault(chrom, []).append(pos)
+    for lineno, parts in read_tsv_rows(path, columns, int_columns=("position",)):
+        chrom, pos = parts[0], parts[1]
+        if pos < 0:
+            raise InputError(f"{path}:{lineno}: negative position {pos}")
+        if label_mode:
+            lab = parts[2]
+            if lab not in ("case", "control"):
+                raise InputError(f"{path}:{lineno}: label {lab!r} not in {{case, control}}")
+            # get() first: setdefault would build a fresh default on every row
+            bucket = table.get(chrom) or table.setdefault(chrom, ([], []))
+            bucket[0 if lab == "case" else 1].append(pos)
+        else:
+            (table.get(chrom) or table.setdefault(chrom, [])).append(pos)
     return table
 
 

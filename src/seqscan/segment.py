@@ -113,14 +113,30 @@ def exhaustive_scan(process: CombinedProcess, stat_kind: str, lo: int, hi: int) 
     return ScanResult(best=best, objective=obj, candidates=[best])
 
 
-def _ladder(n: int, G: int) -> list[int]:
+def _dense_cut(G: int) -> int:
+    """Refinement step size below which a candidate's neighborhood is scanned densely."""
+    return max(4, 64 // G)
+
+
+def _ladder_plan(n: int, G: int) -> list[tuple[int, int, int]]:
+    """(width cap, width floor, endpoint spacing) of every grid level of a region.
+
+    Widths shrink geometrically by G from the region size; levels at or below
+    3*G are left to the dense small-width sweep.
+    """
     ws = [n]
     while ws[-1] > 2:
         ws.append(max(2, ws[-1] // G))
-    return ws
+    plan = []
+    for w, below in zip(ws, ws[1:] + [1]):
+        if w <= 3 * G:
+            continue
+        floor = max(below, 3 * G - 1)
+        plan.append((w, floor, _level_spacing(n, w, floor, G)))
+    return plan
 
 
-def _grid_work_estimate(n: int, G: int) -> int:
+def _grid_work_estimate(n: int, G: int, plan) -> int:
     """Number of interval evaluations the grid scheme would spend on a region.
 
     Counts the dense small-width sweep, every ladder level, and a refinement
@@ -128,18 +144,10 @@ def _grid_work_estimate(n: int, G: int) -> int:
     whenever the grid path would do at least as much work.
     """
     total = min(3 * G, n) * n
-    ws = _ladder(n, G)
-    n_cand = 1
-    for t, w in enumerate(ws):
-        if w <= 3 * G:
-            continue
-        floor = max(ws[t + 1] if t + 1 < len(ws) else 1, 3 * G - 1)
-        g = _level_spacing(n, w, floor, G)
-        n_widths = max(1, (w - floor) // g)
-        total += (n // g + 1) * n_widths
-        n_cand += 3
-    dense_cut = max(4, 64 // G)
-    box_dense = (2 * dense_cut + 1) ** 2
+    for w, floor, g in plan:
+        total += (n // g + 1) * max(1, (w - floor) // g)
+    n_cand = 1 + 3 * len(plan)
+    box_dense = (2 * _dense_cut(G) + 1) ** 2
     box_grid = (2 * G + 3) ** 2
     rounds = max(1, int(np.log2(max(n, 2))))
     total += n_cand * (3 * box_dense + rounds * box_grid)
@@ -186,7 +194,7 @@ def _refine(kernel: StatKernel, lo: int, hi: int, cand, spacing: int, G: int):
     """Walk a candidate interval to a local argmax with shrinking step sizes."""
     best = cand
     s = max(1, spacing)
-    dense_cut = max(4, 64 // G)
+    dense_cut = _dense_cut(G)
     guard = 0
     while True:
         guard += 1
@@ -254,8 +262,9 @@ def iterative_grid_scan(
     n = hi - lo + 1
     if n < 2:
         return ScanResult(best=None, objective=float("-inf"))
+    plan = _ladder_plan(n, G)
     # the grid degenerates to all pairs whenever it would cost as much anyway
-    if n <= 3 * G or _grid_work_estimate(n, G) >= n * (n + 1) // 2:
+    if n <= 3 * G or _grid_work_estimate(n, G, plan) >= n * (n + 1) // 2:
         return exhaustive_scan(process, stat_kind, lo, hi)
 
     kernel = StatKernel(process, stat_kind, lo, hi)
@@ -271,13 +280,8 @@ def iterative_grid_scan(
             small = (i, j, v)
     level_best.append((small, 1))
 
-    ws = _ladder(n, G)
-    for t, w in enumerate(ws):
-        floor = ws[t + 1] if t + 1 < len(ws) else 1
-        if w <= 3 * G:
-            continue  # densely covered above
-        g = _level_spacing(n, w, max(floor, 3 * G - 1), G)
-        pairs = _level_pairs(lo, hi, w, max(floor, 3 * G - 1), g)
+    for w, floor, g in plan:
+        pairs = _level_pairs(lo, hi, w, floor, g)
         if pairs is None:
             continue
         I, J = pairs
@@ -304,14 +308,6 @@ def iterative_grid_scan(
     i, j, obj = best
     stats = [kernel.stat(ri, rj) for ri, rj, _ in sorted(refined, key=lambda c: (-c[2], c[0], c[1]))]
     return ScanResult(best=kernel.stat(i, j), objective=obj, candidates=stats)
-
-
-def _scan(process, stat_kind, lo, hi, grid_step) -> ScanResult:
-    if hi - lo + 1 <= 3 * grid_step:
-        return exhaustive_scan(process, stat_kind, lo, hi)
-    return iterative_grid_scan(process, stat_kind, lo, hi, grid_step)
-
-
 
 
 def cbs_segment(
@@ -348,7 +344,7 @@ def cbs_segment(
             if b - a < 1:
                 cache[reg] = None
                 continue
-            res = _scan(process, stat_kind, a, b, grid_step)
+            res = iterative_grid_scan(process, stat_kind, a, b, grid_step)
             if res.best is None:
                 cache[reg] = None
             else:

@@ -1,10 +1,12 @@
 """Score and binomial likelihood-ratio statistics for read-index intervals.
 
 Both statistics compare the case fraction inside an interval [i, j] of the
-merged read stream against the rest of the chromosome.  All evaluations use
-prefix sums, so each interval costs O(1) after O(m) setup; the vectorized
-kernels additionally precompute an x*log(x) table so the likelihood ratio
-needs no transcendental calls per interval.
+merged read stream against the rest of a window [lo, hi] of it, treated as
+its own sequence (the whole chromosome for ``score`` and ``glr``).  All
+evaluations use prefix sums, so each interval costs O(1) after O(m) setup.
+Each statistic's formula is written once and serves both the scalar
+functions and the vectorized kernel, which precomputes an x*log(x) table so
+the likelihood ratio needs no transcendental calls per interval.
 """
 
 from __future__ import annotations
@@ -37,73 +39,103 @@ class IntervalStat:
         return self.j - self.i + 1
 
 
-def _check_interval(process: CombinedProcess, i: int, j: int) -> None:
-    if not (1 <= i <= j <= process.m):
-        raise ValueError(f"invalid interval [{i}, {j}] for m={process.m}")
+def _check_interval(lo: int, hi: int, i: int, j: int) -> None:
+    if not (lo <= i <= j <= hi):
+        raise ValueError(f"invalid interval [{i}, {j}] for window [{lo}, {hi}]")
 
 
-def score(process: CombinedProcess, i: int, j: int) -> IntervalStat:
-    """Observed-minus-expected case count on [i, j], with its standardization.
+def _score_parts(x_in, n_in, m: int, p: float):
+    """Centered case count of an interval and its null variance (scalars or arrays)."""
+    s = x_in - p * n_in
+    var = (1.0 - n_in / m) * n_in * (p * (1.0 - p))
+    return s, var
 
-    The raw score is centered with the pooled case fraction; the null standard
-    deviation standardizes it across interval widths.  t_ij is defined as 0
-    whenever the null variance vanishes (whole-sequence interval, or a stream
-    that is all case or all control).
+
+def _glr_lambda(xlogx, x_in, n_in, m1: int, m: int):
+    """Log likelihood ratio of an interval against the rest, from count x*log(x) terms.
+
+    With the MLEs written as count ratios every log term is k*log(k) of a
+    count, so ``xlogx`` may be a table lookup or a scalar function and both
+    give the same float.
     """
-    _check_interval(process, i, j)
-    m = process.m
+    x_out = m1 - x_in
+    n_out = m - n_in
+    null_ll = xlogx(m1) + xlogx(m - m1) - xlogx(m)
+    return (
+        xlogx(x_in)
+        + xlogx(n_in - x_in)
+        - xlogx(n_in)
+        + xlogx(x_out)
+        + xlogx(n_out - x_out)
+        - xlogx(n_out)
+        - null_ll
+    )
+
+
+def _xlogx(k):
+    """k*log(k) with 0*log(0) = 0, for a count or an array of counts."""
+    return xlogy(k, k)
+
+
+def interval_score(S: np.ndarray, lo: int, hi: int, i: int, j: int) -> IntervalStat:
+    """Score statistic of [i, j] against the rest of the window [lo, hi].
+
+    ``S`` is the case-label prefix sum of the stream and the window is
+    treated as its own sequence.  The raw score is centered with the
+    window's pooled case fraction; the null standard deviation standardizes
+    it across interval widths.  t_ij is defined as 0 whenever the null
+    variance vanishes (whole-window interval, or a window that is all case
+    or all control).
+    """
+    _check_interval(lo, hi, i, j)
+    m = hi - lo + 1
     if m < 2:
         raise ValueError("need at least 2 reads")
-    p = process.m1 / m
-    n_in = j - i + 1
-    s = process.case_count(i, j) - p * n_in
-    var = (1.0 - n_in / m) * n_in * p * (1.0 - p)
+    p = int(S[hi] - S[lo - 1]) / m
+    s, var = _score_parts(int(S[j] - S[i - 1]), j - i + 1, m, p)
     sigma = math.sqrt(var) if var > 0 else 0.0
     t = s / sigma if sigma > 0 else 0.0
     return IntervalStat(i=i, j=j, s_ij=s, sigma_ij=sigma, t_ij=t, p_hat=p)
 
 
-def glr(process: CombinedProcess, i: int, j: int) -> IntervalStat:
-    """Exact binomial generalized likelihood ratio for [i, j] versus the rest.
+def interval_glr(S: np.ndarray, lo: int, hi: int, i: int, j: int) -> IntervalStat:
+    """Exact binomial generalized likelihood ratio of [i, j] versus the rest of [lo, hi].
 
     Compares the two-parameter model (one case probability inside the
-    interval, one outside) against the pooled single-probability model, in
-    natural log.  The 0*log(0) := 0 convention applies at degenerate MLEs.
-    The whole-sequence interval has no outside MLE and is rejected.
+    interval, one outside) against the window's pooled single-probability
+    model, in natural log.  The 0*log(0) := 0 convention applies at
+    degenerate MLEs.  The whole-window interval has no outside MLE and is
+    rejected.
     """
-    _check_interval(process, i, j)
-    m = process.m
-    if i == 1 and j == m:
+    _check_interval(lo, hi, i, j)
+    if i == lo and j == hi:
         raise ValueError("GLR undefined on the whole-sequence interval: no outside reads")
+    m = hi - lo + 1
+    m1 = int(S[hi] - S[lo - 1])
     n_in = j - i + 1
-    n_out = m - n_in
-    x_in = process.case_count(i, j)
-    x_out = process.m1 - x_in
-    p = process.m1 / m
-    p_in = x_in / n_in
-    p_out = x_out / n_out
-    lam = (
-        xlogy(x_in, p_in)
-        + xlogy(n_in - x_in, 1.0 - p_in)
-        + xlogy(x_out, p_out)
-        + xlogy(n_out - x_out, 1.0 - p_out)
-        - xlogy(x_in + x_out, p)
-        - xlogy(n_in + n_out - x_in - x_out, 1.0 - p)
-    )
+    x_in = int(S[j] - S[i - 1])
+    lam = float(_glr_lambda(_xlogx, x_in, n_in, m1, m))
     return IntervalStat(
         i=i,
         j=j,
-        lambda_ij=max(float(lam), 0.0),
-        p_hat=p,
-        p_hat_in=p_in,
-        p_hat_out=p_out,
+        lambda_ij=max(lam, 0.0),
+        p_hat=m1 / m,
+        p_hat_in=x_in / n_in,
+        p_hat_out=(m1 - x_in) / (m - n_in),
     )
 
 
-def xlogx_table(m: int) -> np.ndarray:
-    """k*log(k) for every count 0..m, with 0*log(0) = 0."""
-    k = np.arange(m + 1, dtype=np.float64)
-    return xlogy(k, k)
+def score(process: CombinedProcess, i: int, j: int) -> IntervalStat:
+    """Score statistic of reads [i, j] against the rest of the chromosome."""
+    return interval_score(process.S, 1, process.m, i, j)
+
+
+def glr(process: CombinedProcess, i: int, j: int) -> IntervalStat:
+    """Binomial likelihood ratio of reads [i, j] against the rest of the chromosome."""
+    return interval_glr(process.S, 1, process.m, i, j)
+
+
+_INTERVAL_STAT = {"score": interval_score, "glr": interval_glr}
 
 
 class StatKernel:
@@ -118,14 +150,9 @@ class StatKernel:
     """
 
     def __init__(
-        self,
-        process: CombinedProcess,
-        stat_kind: str,
-        lo: int = 1,
-        hi: int | None = None,
-        xlogx: np.ndarray | None = None,
+        self, process: CombinedProcess, stat_kind: str, lo: int = 1, hi: int | None = None
     ):
-        if stat_kind not in ("score", "glr"):
+        if stat_kind not in _INTERVAL_STAT:
             raise ValueError(f"unknown statistic {stat_kind!r}")
         hi = process.m if hi is None else hi
         self.process = process
@@ -135,16 +162,9 @@ class StatKernel:
         self.m = hi - lo + 1
         self.S = process.S
         self.m1 = int(process.S[hi] - process.S[lo - 1])
-        p = self.m1 / self.m if self.m else 0.0
-        self._p = p
-        self._pq = p * (1.0 - p)
+        self._p = self.m1 / self.m if self.m else 0.0
         if stat_kind == "glr":
-            self._xlogx = xlogx_table(self.m) if xlogx is None else xlogx
-            self._null_ll = (
-                self._xlogx[self.m1]
-                + self._xlogx[self.m - self.m1]
-                - self._xlogx[self.m]
-            )
+            self._xlogx = _xlogx(np.arange(self.m + 1, dtype=np.float64))
 
     # evaluation block size: temporaries stay cache-resident on large batches
     CHUNK = 32768
@@ -164,59 +184,17 @@ class StatKernel:
         x_in = self.S[J] - self.S[I - 1]
         n_in = J - I + 1
         if self.stat_kind == "score":
-            s = x_in - self._p * n_in
-            var = (1.0 - n_in / self.m) * n_in * self._pq
+            s, var = _score_parts(x_in, n_in, self.m, self._p)
             with np.errstate(divide="ignore", invalid="ignore"):
                 t = np.where(var > 0, s / np.sqrt(var), 0.0)
             return np.abs(t)
-        x_out = self.m1 - x_in
-        n_out = self.m - n_in
-        xlogx = self._xlogx
-        lam = (
-            xlogx[x_in]
-            + xlogx[n_in - x_in]
-            - xlogx[n_in]
-            + xlogx[x_out]
-            + xlogx[n_out - x_out]
-            - xlogx[n_out]
-            - self._null_ll
-        )
+        lam = _glr_lambda(self._xlogx.__getitem__, x_in, n_in, self.m1, self.m)
         # the whole-window interval has no outside MLE: never a candidate
-        lam = np.where(n_in == self.m, -np.inf, np.maximum(lam, 0.0))
-        return lam
+        return np.where(n_in == self.m, -np.inf, np.maximum(lam, 0.0))
 
     def stat(self, i: int, j: int) -> IntervalStat:
-        """Scalar IntervalStat of the configured kind for one interval.
+        """Scalar IntervalStat of the configured kind for one interval of the window.
 
-        Computed on the window, mirroring the whole-stream definitions.
+        Its |t_ij| or lambda_ij equals ``objective`` on the same interval.
         """
-        if self.stat_kind == "score":
-            if self.lo == 1 and self.hi == self.process.m:
-                return score(self.process, int(i), int(j))
-            return self._window_score(int(i), int(j))
-        if self.lo == 1 and self.hi == self.process.m:
-            return glr(self.process, int(i), int(j))
-        return self._window_glr(int(i), int(j))
-
-    def _window_score(self, i: int, j: int) -> IntervalStat:
-        n_in = j - i + 1
-        s = float(self.S[j] - self.S[i - 1]) - self._p * n_in
-        var = (1.0 - n_in / self.m) * n_in * self._pq
-        sigma = math.sqrt(var) if var > 0 else 0.0
-        return IntervalStat(
-            i=i, j=j, s_ij=s, sigma_ij=sigma, t_ij=s / sigma if sigma > 0 else 0.0, p_hat=self._p
-        )
-
-    def _window_glr(self, i: int, j: int) -> IntervalStat:
-        lam = float(self.objective(np.array([i]), np.array([j]))[0])
-        n_in = j - i + 1
-        x_in = int(self.S[j] - self.S[i - 1])
-        n_out = self.m - n_in
-        return IntervalStat(
-            i=i,
-            j=j,
-            lambda_ij=max(lam, 0.0),
-            p_hat=self._p,
-            p_hat_in=x_in / n_in,
-            p_hat_out=(self.m1 - x_in) / n_out if n_out else None,
-        )
+        return _INTERVAL_STAT[self.stat_kind](self.S, self.lo, self.hi, int(i), int(j))

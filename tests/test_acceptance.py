@@ -254,12 +254,17 @@ print(sorted(r1s)[1], sorted(r2s)[1])
 
 @report("criterion 8 (sub-quadratic scaling)")
 def test_c8_scaling():
+    import os
     import subprocess
     import sys
 
+    # the child imports the same seqscan as this process, installed or not
+    src = os.path.dirname(os.path.dirname(sq.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     # fresh interpreter: timing must not inherit this process's heap state
     out = subprocess.run(
-        [sys.executable, "-c", _SCALING_BENCH], capture_output=True, text=True, check=True
+        [sys.executable, "-c", _SCALING_BENCH], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     r1, r2 = map(float, out.stdout.split())
     assert r1 <= 2.5 and r2 <= 2.5, f"ratios {r1:.2f}, {r2:.2f}"

@@ -107,6 +107,37 @@ class TestSegmentCommand:
         assert rc == 2
         assert ":1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mistake", [
+        "band_grid_step_zero", "band_grid_step_negative", "missing_case_file",
+        "binary_case_file", "non_integer_calls_index",
+    ])
+    def test_input_error_exit_code(self, tmp_path, capsys, mistake):
+        case, control = tmp_path / "case.tsv", tmp_path / "control.tsv"
+        write_reads(case, range(0, 400, 2))
+        write_reads(control, range(1, 400, 2))
+        segment = ["segment", "--case", str(case), "--control", str(control),
+                   "--out-dir", str(tmp_path / "out")]
+        if mistake == "band_grid_step_zero":
+            argv = segment + ["--band-grid-step", "0"]
+        elif mistake == "band_grid_step_negative":
+            argv = segment + ["--band-grid-step", "-1"]
+        elif mistake == "missing_case_file":
+            argv = segment[:2] + [str(tmp_path / "absent.tsv")] + segment[3:]
+        elif mistake == "binary_case_file":
+            case.write_bytes(bytes(range(128, 256)))
+            argv = segment
+        else:
+            (tmp_path / "truth.tsv").write_text("chr1\t100\t200\t1.5\n")
+            (tmp_path / "calls.tsv").write_text(
+                "chr1\t0\t399\tone\t400\t200\t200\t0.5\t1\n"
+            )
+            argv = ["evaluate", "--case", str(case), "--control", str(control),
+                    "--truth", str(tmp_path / "truth.tsv"),
+                    "--calls", str(tmp_path / "calls.tsv"), "--out-dir", str(tmp_path / "ev")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.count("seqscan: error:") == 1
+        assert not (tmp_path / "out" / "band.tsv").exists()
+
     def test_missing_inputs_rejected(self, tmp_path, capsys):
         rc = cli.main(["segment", "--out-dir", str(tmp_path)])
         assert rc == 2

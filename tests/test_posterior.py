@@ -188,6 +188,18 @@ class TestCiBand:
         assert band.grid.tolist() == grid.tolist()
         assert band.lower.size == 3
 
+    def test_grid_order_does_not_change_values(self):
+        # blocks are inverted in position order whatever order the grid lists them in
+        rng = np.random.default_rng(4)
+        p_vec = np.where((np.arange(1000) >= 300) & (np.arange(1000) < 650), 0.8, 0.3)
+        proc = proc_from_z((rng.random(1000) < p_vec).astype(int))
+        grid = np.unique(proc.W)
+        fwd = ci_band(proc, [301, 651], grid=grid)
+        rev = ci_band(proc, [301, 651], grid=grid[::-1])
+        assert rev.grid.tolist() == grid[::-1].tolist()
+        for name in ("lower", "upper", "point_est"):
+            assert np.allclose(getattr(rev, name), getattr(fwd, name)[::-1], rtol=0, atol=1e-6)
+
     def test_level_validated(self):
         with pytest.raises(InputError):
             ci_band(bernoulli_process(0.5, 50, 0), [], level=1.5)

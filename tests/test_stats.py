@@ -161,6 +161,21 @@ class TestStatKernel:
             a = kw.objective(np.array([lo + i - 1]), np.array([lo + j - 1]))[0]
             b = ks.objective(np.array([i]), np.array([j]))[0]
             assert a == pytest.approx(b, abs=1e-10) or (np.isinf(a) and np.isinf(b))
+        # the scalar statistic of a window equals the chromosome statistic of
+        # its labels, and reports exactly the objective the scan ranks by
+        for kind, whole, field in (("score", score, "t_ij"), ("glr", glr, "lambda_ij")):
+            kernel = StatKernel(proc, kind, lo, hi)
+            for i, j in [(1, 5), (3, 17), (10, 39), (2, 40), (1, 39)]:
+                got = kernel.stat(lo + i - 1, lo + j - 1)
+                want = whole(sub, i, j)
+                assert (got.i, got.j) == (lo + i - 1, lo + j - 1)
+                for name in ("s_ij", "sigma_ij", "t_ij", "lambda_ij", "p_hat", "p_hat_in",
+                             "p_hat_out"):
+                    assert getattr(got, name) == pytest.approx(getattr(want, name), abs=1e-12)
+                obj = kernel.objective(np.array([got.i]), np.array([got.j]))[0]
+                assert abs(getattr(got, field)) == obj
+        with pytest.raises(ValueError, match="outside"):
+            StatKernel(proc, "glr", lo, hi).stat(lo, hi)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
