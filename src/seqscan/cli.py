@@ -102,6 +102,27 @@ def _write_atomic(path: str, header: str, rows) -> None:
     os.replace(tmp, path)
 
 
+def _band_rows(chrom: str, band) -> list[tuple]:
+    """``band.tsv`` rows of one chromosome.
+
+    Band values are constant over each run of consecutive grid positions that
+    falls in one band block, so the six value columns of a run are formatted
+    once and shared by its rows.
+    """
+    values = np.stack([band.lower, band.point_est, band.upper], axis=1)
+    # compare bits, not values: 0.0 and -0.0 are equal but print differently
+    bits = values.view(np.int64)
+    new_run = np.ones(len(values), dtype=bool)
+    new_run[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    tails = []
+    for lo, pt, hi in values[new_run].tolist():
+        cols = (lo, pt, hi, relative_copy_number(lo), relative_copy_number(pt),
+                relative_copy_number(hi))
+        tails.append("\t".join(_fmt(v) for v in cols))
+    run = np.cumsum(new_run) - 1
+    return [(chrom, pos, tails[r]) for pos, r in zip(band.grid.tolist(), run.tolist())]
+
+
 def _load_pair(config: RunConfig) -> dict[str, tuple[ReadSet, ReadSet]]:
     """Read the input TSVs into per-chromosome (case, control) ReadSet pairs.
 
@@ -187,11 +208,7 @@ def run_segment(config: RunConfig) -> int:
                 (chrom, s.start_bp, s.end_bp, s.start_idx, s.end_idx, s.n_case, s.n_control,
                  s.p_hat, s.rel_cn)
             )
-        for pos, lo, pt, hi in zip(band.grid, band.lower, band.point_est, band.upper):
-            band_rows.append(
-                (chrom, int(pos), lo, pt, hi,
-                 relative_copy_number(lo), relative_copy_number(pt), relative_copy_number(hi))
-            )
+        band_rows += _band_rows(chrom, band)
         _write_atomic(
             os.path.join(config.out_dir, f"mbic_{chrom}.tsv"),
             "K\tmbic",

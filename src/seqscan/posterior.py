@@ -10,12 +10,15 @@ location posteriors combine independently.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, gammaln
+from scipy.special import betainc, betaln, gammaln, ndtri
 
 from .process import CombinedProcess, InputError, segment_bounds
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -157,35 +160,93 @@ def posterior_at(
     return BetaMixture(weights=weights.weights, a=a.astype(float), b=b.astype(float))
 
 
-def _bisect_cdf(mix: BetaMixture, q: float, lo: float, hi: float) -> float:
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        c = mix.cdf(mid)
-        if abs(c - q) <= 1e-8:
-            return mid
-        if c < q:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
+# a quantile x of level q is done once the mixture CDF satisfies |F(x) - q| <= this
+QUANTILE_TOL = 1e-8
+_MAX_STEPS = 200
+# betainc matrix entries (quantiles x components) per batch: bounds the solver's memory
+_BATCH_ENTRIES = 1 << 18
+# a larger log density only shortens a Newton step; capping it keeps exp finite
+# when a shape parameter below 1 meets an x near 0 or 1
+_LOG_PDF_CAP = 600.0
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+def _newton_quantiles(weights, a, b, levels):
+    """One batch of ``_mixture_quantiles``."""
+    n_rows = weights.shape[0]
+    row = np.repeat(np.arange(n_rows), levels.size)
+    q = np.tile(levels, n_rows)
+    # start from the normal with the mixture's mean and variance
+    mean = a / (a + b)
+    mu = weights @ mean
+    var = weights @ (mean * (1.0 - mean) / (a + b + 1.0) + mean**2) - mu**2
+    z = ndtri(q)
+    x = mu[row] + np.sqrt(np.maximum(var, 0.0))[row] * z
+    x = np.where((x > 0.0) & (x < 1.0), x, 0.5)
+    lo = np.zeros_like(x)
+    hi = np.ones_like(x)
+    out = np.empty_like(x)
+    log_norm = betaln(a, b)
+    act = np.arange(x.size)
+    for _ in range(_MAX_STEPS):
+        xa = x[act]
+        w = weights[row[act]]
+        err = np.einsum("kc,kc->k", w, betainc(a, b, xa[:, None])) - q[act]
+        lo[act] = np.where(err < 0, xa, lo[act])
+        hi[act] = np.where(err > 0, xa, hi[act])
+        done = (np.abs(err) <= QUANTILE_TOL) | (hi[act] - lo[act] < 1e-15)
+        out[act[done]] = xa[done]
+        keep = ~done
+        act, xa, w, err = act[keep], xa[keep], w[keep], err[keep]
+        if act.size == 0:
             break
-    return 0.5 * (lo + hi)
+        log_pdf = (a - 1.0) * np.log(xa)[:, None] + (b - 1.0) * np.log1p(-xa)[:, None] - log_norm
+        dens = np.einsum("kc,kc->k", w, np.exp(np.minimum(log_pdf, _LOG_PDF_CAP)))
+        # Newton's step on ndtri(F(x)) = ndtri(q), nearly linear in x wherever the
+        # mixture is nearly normal.  It is taken where it lands strictly inside
+        # the bracket, else the bracket is bisected; the bracket test runs before
+        # the division so that the division cannot overflow
+        g = ndtri(np.clip(err + q[act], 1e-300, 1.0 - 2.0**-53))
+        num = (g - z[act]) * np.exp(-0.5 * g * g) * _INV_SQRT_2PI
+        l, h = lo[act], hi[act]
+        newton = (dens > 0) & (num > dens * (xa - h)) & (num < dens * (xa - l))
+        cand = xa - np.divide(num, dens, out=np.zeros_like(err), where=newton)
+        newton &= (cand > l) & (cand < h)
+        x[act] = np.where(newton, cand, 0.5 * (l + h))
+    else:
+        out[act] = 0.5 * (lo[act] + hi[act])
+    return out.reshape(n_rows, levels.size)
 
 
-def mixture_quantile(mix: BetaMixture, q: float, bracket: tuple[float, float] | None = None) -> float:
-    """Invert the mixture CDF by bisection on [0, 1].
+def _mixture_quantiles(weights, a, b, levels) -> np.ndarray:
+    """Quantiles of Beta mixtures that share one component table.
 
-    A ``bracket`` guess narrows the starting interval when the answer is
-    known to be nearby; it is verified before use.
+    Row r of ``weights`` mixes the components Beta(a, b); entry [r, j] of the
+    result is that mixture's quantile at ``levels[j]``.  All quantiles are
+    solved together by a safeguarded Newton method on the exact mixture CDF F
+    (on the probit scale, ndtri(F(x)) = ndtri(q)), started from the
+    moment-matched normal quantile.  Each step evaluates F for every unfinished
+    quantile with one betainc call and the mixture density from betaln; a step
+    that would leave the quantile's bracket bisects it instead.  A quantile is
+    done once |F(x) - q| <= QUANTILE_TOL, or when its bracket is narrower than
+    1e-15.  Rows are solved in batches that bound the betainc matrix's size.
     """
+    weights = np.asarray(weights, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    levels = np.asarray(levels, dtype=np.float64)
+    out = np.empty((weights.shape[0], levels.size))
+    per = max(1, _BATCH_ENTRIES // (a.size * levels.size))
+    for r0 in range(0, weights.shape[0], per):
+        out[r0 : r0 + per] = _newton_quantiles(weights[r0 : r0 + per], a, b, levels)
+    return out
+
+
+def mixture_quantile(mix: BetaMixture, q: float) -> float:
+    """Invert the mixture CDF: x with |F(x) - q| <= QUANTILE_TOL."""
     if not (0.0 < q < 1.0):
         raise ValueError(f"quantile level must be in (0, 1), got {q}")
-    if bracket is not None:
-        lo = max(0.0, bracket[0])
-        hi = min(1.0, bracket[1])
-        if lo < hi and mix.cdf(lo) < q <= mix.cdf(hi):
-            return _bisect_cdf(mix, q, lo, hi)
-    return _bisect_cdf(mix, q, 0.0, 1.0)
+    return float(_mixture_quantiles(np.asarray(mix.weights)[None, :], mix.a, mix.b, (q,))[0, 0])
 
 
 # diffuse location posteriors keep the mixture at a few hundred components
@@ -203,7 +264,8 @@ class _BoundaryPosterior:
         )
         tw = posterior_weights(trimmed, epsilon)
         idx, w, r = tw.indices, tw.weights, tw.ratios
-        if idx.size > MAX_BOUNDARY_CANDIDATES:
+        self.truncated = idx.size > MAX_BOUNDARY_CANDIDATES
+        if self.truncated:
             top = np.lexsort((idx, -w))[:MAX_BOUNDARY_CANDIDATES]
             top.sort()
             idx, w, r = idx[top], w[top], r[top]
@@ -261,18 +323,15 @@ def _segment_mixture_pairs(process, seg_idx, segs, left, right, alpha, beta, eps
     n_prev = CL - prev_start + 1
     s_next = S[next_end] - S[CR]
     n_next = next_end - CR
-    ab = np.stack(
-        [
-            np.concatenate([alpha + s_prev, alpha + s_in, alpha + s_next]).astype(float),
-            np.concatenate(
-                [beta + n_prev - s_prev, beta + n_in - s_in, beta + n_next - s_next]
-            ).astype(float),
-        ],
-        axis=1,
+    # (case, control) counts of every component: before, inside and after the segment
+    cases = np.concatenate([s_prev, s_in, s_next])
+    controls = np.concatenate([n_prev - s_prev, n_in - s_in, n_next - s_next])
+    # collapse identical Beta components once; classes then just re-weight ids.
+    # One integer key per count pair sorts like the pair and is much faster to unique
+    _, first, inv = np.unique(
+        cases * (controls.max() + 1) + controls, return_index=True, return_inverse=True
     )
-    # collapse identical Beta components once; classes then just re-weight ids
-    uniq, inv = np.unique(ab, axis=0, return_inverse=True)
-    inv = inv.ravel()
+    uniq = np.stack([alpha + cases[first], beta + controls[first]], axis=1).astype(float)
     n = CL.size
     return {
         "CL": CL,
@@ -285,20 +344,25 @@ def _segment_mixture_pairs(process, seg_idx, segs, left, right, alpha, beta, eps
     }
 
 
-def _class_mixture(pairs, t):
-    """Mixture at read t: pairs fall left of, inside, or right of the segment."""
-    left_out = pairs["CL"] >= t
-    right_out = pairs["CR"] < t
-    inside = ~(left_out | right_out)
+def _block_weights(pairs, t):
+    """Mixture weights over ``comp_ab`` at each read of ascending ``t``, one row per read.
+
+    A pair contributes its left-of-segment component while t <= CL, its
+    inside component while CL < t <= CR and its right-of-segment component
+    after that.  Each pair adds its weight to the row where it enters a class
+    and subtracts it where it leaves; a cumulative sum down the rows then
+    assembles every row.
+    """
     ncomp = pairs["comp_ab"].shape[0]
-    w = np.zeros(ncomp)
-    w += np.bincount(pairs["prev_id"][left_out], weights=pairs["w"][left_out], minlength=ncomp)
-    w += np.bincount(pairs["in_id"][inside], weights=pairs["w"][inside], minlength=ncomp)
-    w += np.bincount(pairs["next_id"][right_out], weights=pairs["w"][right_out], minlength=ncomp)
-    keep = w > 0
-    ab = pairs["comp_ab"][keep]
-    w = w[keep]
-    return BetaMixture(weights=w / w.sum(), a=ab[:, 0], b=ab[:, 1])
+    enter_in = np.searchsorted(t, pairs["CL"], side="right")
+    enter_next = np.searchsorted(t, pairs["CR"], side="right")
+    w = pairs["w"]
+    rows = np.concatenate([np.zeros_like(enter_in), enter_in, enter_in, enter_next, enter_next])
+    comps = np.concatenate([pairs["prev_id"], pairs["prev_id"], pairs["in_id"], pairs["in_id"],
+                            pairs["next_id"]])
+    delta = np.bincount(rows * ncomp + comps, weights=np.concatenate([w, -w, w, -w, w]),
+                        minlength=(t.size + 1) * ncomp)
+    return np.cumsum(delta.reshape(t.size + 1, ncomp), axis=0)[:-1]
 
 
 def ci_band(
@@ -333,6 +397,10 @@ def ci_band(
         boundaries.append(
             _BoundaryPosterior(process, segs[k][0], window_lo, window_hi, alpha, beta, epsilon)
         )
+    log.debug(
+        "MAX_BOUNDARY_CANDIDATES=%d truncated %d of %d boundary posteriors",
+        MAX_BOUNDARY_CANDIDATES, sum(bp.truncated for bp in boundaries), len(boundaries),
+    )
 
     # read index of the last read at or before each grid position
     t_of_grid = np.clip(np.searchsorted(process.W, grid, side="right"), 1, m)
@@ -356,23 +424,14 @@ def ci_band(
         right = boundaries[k] if k < len(boundaries) else None
         pairs = _segment_mixture_pairs(process, k, segs, left, right, alpha, beta, epsilon)
         # the class mixture changes only where t crosses a candidate boundary:
-        # one block per distinct (CL rank, CR rank), quantiles inverted once each
+        # one block per distinct (CL rank, CR rank), in ascending position order
         rank_cl = np.searchsorted(np.sort(pairs["CL"]), t_of_grid[sel])
         rank_cr = np.searchsorted(np.sort(pairs["CR"]), t_of_grid[sel])
         key = rank_cl * (pairs["CR"].size + 1) + rank_cr
         _, first, block = np.unique(key, return_index=True, return_inverse=True)
-        bounds = np.empty((first.size, 2))
-        prev = None
-        for b, g in enumerate(sel[first]):
-            mix = _class_mixture(pairs, int(t_of_grid[g]))
-            # neighboring blocks shift the quantiles only slightly
-            b_lo = (prev[0] - 0.03, prev[0] + 0.03) if prev is not None else None
-            b_hi = (prev[1] - 0.03, prev[1] + 0.03) if prev is not None else None
-            bounds[b] = (
-                mixture_quantile(mix, q_lo, bracket=b_lo),
-                mixture_quantile(mix, q_hi, bracket=b_hi),
-            )
-            prev = bounds[b]
+        ab = pairs["comp_ab"]
+        weights = _block_weights(pairs, t_of_grid[sel[first]])
+        bounds = _mixture_quantiles(weights, ab[:, 0], ab[:, 1], (q_lo, q_hi))
         lower[sel] = bounds[block, 0]
         upper[sel] = bounds[block, 1]
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import seqscan.cli as cli
-from seqscan import InputError
+from seqscan import InputError, PosteriorBand, ci_band, relative_copy_number
+
+from conftest import proc_from_z
 
 
 def write_reads(path, positions, chrom="chr1"):
@@ -174,6 +176,38 @@ class TestSegmentCommand:
             "--control", str(tmp_path / "control.tsv"), "--out-dir", str(tmp_path),
         ])
         assert rc == 2
+
+
+class TestBandWriter:
+    @staticmethod
+    def row_by_row(chrom, band):
+        """band.tsv rows with every value formatted on its own row (reference writer)."""
+        return [
+            (chrom, int(pos), lo, pt, hi,
+             relative_copy_number(lo), relative_copy_number(pt), relative_copy_number(hi))
+            for pos, lo, pt, hi in zip(band.grid, band.lower, band.point_est, band.upper)
+        ]
+
+    def assert_same_bytes(self, tmp_path, band):
+        cli._write_atomic(str(tmp_path / "old.tsv"), "band", self.row_by_row("chr2", band))
+        cli._write_atomic(str(tmp_path / "new.tsv"), "band", cli._band_rows("chr2", band))
+        assert (tmp_path / "old.tsv").read_bytes() == (tmp_path / "new.tsv").read_bytes()
+
+    def test_ci_band_rows_identical_to_row_by_row(self, tmp_path):
+        rng = np.random.default_rng(2)
+        p_vec = np.where((np.arange(1500) >= 500) & (np.arange(1500) < 1000), 0.75, 0.35)
+        proc = proc_from_z((rng.random(1500) < p_vec).astype(int), W=np.arange(1500) * 7 + 3)
+        band = ci_band(proc, [501, 1001], grid=np.unique(proc.W)[::3])
+        assert len(set(band.lower.tolist())) > 10
+        self.assert_same_bytes(tmp_path, band)
+
+    def test_edge_values_identical_to_row_by_row(self, tmp_path):
+        # repeated and returning runs, a p of 1 (rel_cn inf) and a signed zero
+        lower = np.array([0.0, 0.0, -0.0, 0.2, 0.2, 0.0, 1.0, 1.0])
+        upper = np.array([0.5, 0.5, 0.5, 0.9, 0.9, 0.5, 1.0, 1.0])
+        point = np.array([0.25, 0.25, 0.25, 0.5, 0.5, 0.25, 1.0, 1.0])
+        band = PosteriorBand(grid=np.arange(10, 18), lower=lower, upper=upper, point_est=point)
+        self.assert_same_bytes(tmp_path, band)
 
 
 class TestSimulateCommand:

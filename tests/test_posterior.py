@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -13,6 +14,8 @@ from seqscan import (
     posterior_at,
     posterior_weights,
 )
+from seqscan.posterior import _BoundaryPosterior, _segment_mixture_pairs
+from seqscan.process import segment_bounds
 
 from conftest import bernoulli_process, proc_from_z
 
@@ -145,6 +148,19 @@ class TestMixtureQuantile:
         assert qs == sorted(qs)
         assert mix.cdf(qs[2]) == pytest.approx(0.5, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "a,b", [(1.0, 1.0), (2.0, 1.0), (0.5, 0.5), (5.0, 40.0), (500.0, 700.0), (3000.0, 20.0),
+                (1.0, 5e5)],
+    )
+    def test_single_component_matches_beta_ppf(self, a, b):
+        mix = BetaMixture(weights=np.ones(1), a=np.array([a]), b=np.array([b]))
+        for q in (0.025, 0.5, 0.975):
+            x = mixture_quantile(mix, q)
+            ref = beta_dist.ppf(q, a, b)
+            assert abs(beta_dist.cdf(x, a, b) - q) <= 1e-8
+            # |F(x) - q| <= 1e-8 pins x to within about 1e-8 / density of the exact quantile
+            assert x == pytest.approx(ref, rel=0, abs=2e-8 / beta_dist.pdf(ref, a, b))
+
     def test_weights_validated(self):
         with pytest.raises(ValueError):
             BetaMixture(weights=np.array([0.5, 0.4]), a=np.ones(2), b=np.ones(2))
@@ -203,3 +219,62 @@ class TestCiBand:
     def test_level_validated(self):
         with pytest.raises(InputError):
             ci_band(bernoulli_process(0.5, 50, 0), [], level=1.5)
+
+
+def reference_block_mixture(pairs, t):
+    """Mixture at read t assembled pair by pair: left of, inside or right of the segment."""
+    left_out = pairs["CL"] >= t
+    right_out = pairs["CR"] < t
+    inside = ~(left_out | right_out)
+    ncomp = pairs["comp_ab"].shape[0]
+    w = np.zeros(ncomp)
+    w += np.bincount(pairs["prev_id"][left_out], weights=pairs["w"][left_out], minlength=ncomp)
+    w += np.bincount(pairs["in_id"][inside], weights=pairs["w"][inside], minlength=ncomp)
+    w += np.bincount(pairs["next_id"][right_out], weights=pairs["w"][right_out], minlength=ncomp)
+    keep = w > 0
+    ab = pairs["comp_ab"][keep]
+    return BetaMixture(weights=w[keep] / w[keep].sum(), a=ab[:, 0], b=ab[:, 1])
+
+
+def test_every_band_bound_meets_cdf_tolerance(caplog):
+    # weak shifts leave every boundary posterior wider than the candidate cap
+    rng = np.random.default_rng(11)
+    p_vec = np.full(4000, 0.45)
+    p_vec[1300:2600] = 0.55
+    p_vec[2600:] = 0.48
+    proc = proc_from_z((rng.random(4000) < p_vec).astype(int))
+    taus = [1301, 2601]
+    level, epsilon = 0.9, 1e-4
+    segs = segment_bounds(taus, proc.m)
+    boundaries = [
+        _BoundaryPosterior(proc, segs[k][0], segs[k - 1][0], segs[k][1], 1.0, 1.0, epsilon)
+        for k in range(1, len(segs))
+    ]
+    assert all(bp.truncated for bp in boundaries)
+
+    with caplog.at_level(logging.DEBUG, logger="seqscan.posterior"):
+        band = ci_band(proc, taus, level=level, epsilon=epsilon)
+    assert "truncated 2 of 2 boundary posteriors" in caplog.text
+    q_lo = (1.0 - level) / 2.0
+    q_hi = 1.0 - q_lo
+    blocks = 0
+    for k, (start, end) in enumerate(segs):
+        left = boundaries[k - 1] if k >= 1 else None
+        right = boundaries[k] if k < len(boundaries) else None
+        pairs = _segment_mixture_pairs(proc, k, segs, left, right, 1.0, 1.0, epsilon)
+        seen = set()
+        for t in range(start, end + 1):
+            # the mixture depends on t only through which pairs t falls left or right of
+            key = (int((pairs["CL"] >= t).sum()), int((pairs["CR"] < t).sum()))
+            if key in seen:
+                # rows of one block carry the block's bounds
+                assert band.lower[t - 1] == band.lower[t - 2]
+                assert band.upper[t - 1] == band.upper[t - 2]
+                continue
+            seen.add(key)
+            mix = reference_block_mixture(pairs, t)
+            assert abs(mix.cdf(band.lower[t - 1]) - q_lo) <= 1e-8, (k, t)
+            assert abs(mix.cdf(band.upper[t - 1]) - q_hi) <= 1e-8, (k, t)
+        assert len(seen) > 1
+        blocks += len(seen)
+    assert blocks > 50, blocks
