@@ -15,7 +15,7 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,9 +150,10 @@ def _load_pair(config: RunConfig) -> dict[str, tuple[ReadSet, ReadSet]]:
 
 
 def _segment_one(chrom: str, case: ReadSet, control: ReadSet, config: RunConfig, with_band: bool):
+    """Everything the output files need from one chromosome."""
     process = merge_reads(case, control)
     sequence = cbs_segment(process, config.stat_kind, config.grid_step, config.max_k)
-    k_hat, curve, taus = select_k(process, sequence)
+    _, curve, taus = select_k(process, sequence)
     segments = to_genomic(taus, process)
     band = None
     if with_band:
@@ -166,10 +167,16 @@ def _segment_one(chrom: str, case: ReadSet, control: ReadSet, config: RunConfig,
             beta=config.beta,
             grid=grid,
         )
-    return chrom, process, k_hat, curve, segments, band
+    return curve, segments, band
 
 
 def _run_chromosomes(config: RunConfig, with_band: bool):
+    """(chrom, curve, segments, band) of every chromosome, in sorted chromosome order.
+
+    Chromosomes are independent, so with ``config.threads`` above 1 they run in
+    up to that many worker processes, one chromosome per task; a single worker
+    or chromosome runs in this process.
+    """
     pairs = _load_pair(config)
     jobs = []
     for chrom, (case, control) in pairs.items():
@@ -180,19 +187,15 @@ def _run_chromosomes(config: RunConfig, with_band: bool):
             )
             continue
         jobs.append((chrom, case, control))
-    results = {}
-    if config.threads == 1 or len(jobs) <= 1:
-        for chrom, case, control in jobs:
-            results[chrom] = _segment_one(chrom, case, control, config, with_band)
+    workers = min(config.threads, len(jobs))
+    if workers <= 1:
+        results = [_segment_one(*job, config, with_band) for job in jobs]
     else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            futs = {
-                chrom: pool.submit(_segment_one, chrom, case, control, config, with_band)
-                for chrom, case, control in jobs
-            }
-            for chrom, fut in futs.items():
-                results[chrom] = fut.result()
-    return [results[chrom] for chrom in sorted(results)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futs = [pool.submit(_segment_one, *job, config, with_band) for job in jobs]
+            results = [fut.result() for fut in futs]
+    # _load_pair yields chromosomes in sorted order
+    return [(chrom, *res) for (chrom, _, _), res in zip(jobs, results)]
 
 
 def run_segment(config: RunConfig) -> int:
@@ -202,7 +205,7 @@ def run_segment(config: RunConfig) -> int:
 
     seg_rows = []
     band_rows = []
-    for chrom, process, k_hat, curve, segments, band in results:
+    for chrom, curve, segments, band in results:
         for s in segments:
             seg_rows.append(
                 (chrom, s.start_bp, s.end_bp, s.start_idx, s.end_idx, s.n_case, s.n_control,
@@ -230,7 +233,7 @@ def run_segment(config: RunConfig) -> int:
 def run_mbic_curve(config: RunConfig) -> int:
     """Criterion curve only, one file per chromosome."""
     os.makedirs(config.out_dir, exist_ok=True)
-    for chrom, _, _, curve, _, _ in _run_chromosomes(config, with_band=False):
+    for chrom, curve, _, _ in _run_chromosomes(config, with_band=False):
         _write_atomic(
             os.path.join(config.out_dir, f"mbic_{chrom}.tsv"),
             "K\tmbic",

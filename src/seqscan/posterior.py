@@ -169,10 +169,11 @@ _BATCH_ENTRIES = 1 << 18
 # when a shape parameter below 1 meets an x near 0 or 1
 _LOG_PDF_CAP = 600.0
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_TINY = np.nextafter(0.0, 1.0)
 
 
 def _newton_quantiles(weights, a, b, levels):
-    """One batch of ``_mixture_quantiles``."""
+    """One batch of ``_mixture_quantiles``: the quantiles and how many missed the tolerance."""
     n_rows = weights.shape[0]
     row = np.repeat(np.arange(n_rows), levels.size)
     q = np.tile(levels, n_rows)
@@ -183,20 +184,32 @@ def _newton_quantiles(weights, a, b, levels):
     z = ndtri(q)
     x = mu[row] + np.sqrt(np.maximum(var, 0.0))[row] * z
     x = np.where((x > 0.0) & (x < 1.0), x, 0.5)
+    # the bracket [lo, hi] and F - q at its ends: F(0) = 0 and F(1) = 1
     lo = np.zeros_like(x)
     hi = np.ones_like(x)
+    err_lo = -q
+    err_hi = 1.0 - q
     out = np.empty_like(x)
     log_norm = betaln(a, b)
     act = np.arange(x.size)
+    drops = np.zeros(x.size, dtype=np.int64)  # bisections spent at a lower end of 0
+    missed = 0
     for _ in range(_MAX_STEPS):
         xa = x[act]
         w = weights[row[act]]
         err = np.einsum("kc,kc->k", w, betainc(a, b, xa[:, None])) - q[act]
-        lo[act] = np.where(err < 0, xa, lo[act])
-        hi[act] = np.where(err > 0, xa, hi[act])
-        done = (np.abs(err) <= QUANTILE_TOL) | (hi[act] - lo[act] < 1e-15)
-        out[act[done]] = xa[done]
-        keep = ~done
+        below, above = err < 0, err > 0
+        lo[act] = np.where(below, xa, lo[act])
+        err_lo[act] = np.where(below, err, err_lo[act])
+        hi[act] = np.where(above, xa, hi[act])
+        err_hi[act] = np.where(above, err, err_hi[act])
+        met = np.abs(err) <= QUANTILE_TOL
+        out[act[met]] = xa[met]
+        # no double lies strictly inside the bracket: no x meets the tolerance
+        stuck = ~met & (hi[act] <= np.nextafter(lo[act], 1.0))
+        missed += int(stuck.sum())
+        out[act[stuck]] = _nearer_end(act[stuck], lo, hi, err_lo, err_hi)
+        keep = ~(met | stuck)
         act, xa, w, err = act[keep], xa[keep], w[keep], err[keep]
         if act.size == 0:
             break
@@ -212,10 +225,26 @@ def _newton_quantiles(weights, a, b, levels):
         newton = (dens > 0) & (num > dens * (xa - h)) & (num < dens * (xa - l))
         cand = xa - np.divide(num, dens, out=np.zeros_like(err), where=newton)
         newton &= (cand > l) & (cand < h)
-        x[act] = np.where(newton, cand, 0.5 * (l + h))
+        # Bisection halves the bracket, except in the lower tail: while the lower
+        # end is still 0, the k-th bisection divides the upper end by 2**(2**k)
+        # (2, 4, 16, 256, ...), and after two of those the bracket is split on
+        # the log scale while it spans more than a factor of 2.  A quantile far
+        # below its start then takes a few dozen steps, not one per binade
+        at0 = l == 0.0
+        drop = np.maximum(h * np.exp2(-np.exp2(np.minimum(drops[act], 10))), _TINY)
+        tail = ~at0 & (drops[act] > 1) & (h > 2.0 * l)
+        mid = np.where(at0, drop, np.where(tail, np.sqrt(l) * np.sqrt(h), 0.5 * (l + h)))
+        drops[act] += at0 & ~newton
+        x[act] = np.where(newton, cand, mid)
     else:
-        out[act] = 0.5 * (lo[act] + hi[act])
-    return out.reshape(n_rows, levels.size)
+        missed += act.size
+        out[act] = _nearer_end(act, lo, hi, err_lo, err_hi)
+    return out.reshape(n_rows, levels.size), missed
+
+
+def _nearer_end(idx, lo, hi, err_lo, err_hi):
+    """The bracket end whose CDF lies nearer the level, for quantiles ``idx``."""
+    return np.where(np.abs(err_lo[idx]) <= np.abs(err_hi[idx]), lo[idx], hi[idx])
 
 
 def _mixture_quantiles(weights, a, b, levels) -> np.ndarray:
@@ -227,23 +256,33 @@ def _mixture_quantiles(weights, a, b, levels) -> np.ndarray:
     (on the probit scale, ndtri(F(x)) = ndtri(q)), started from the
     moment-matched normal quantile.  Each step evaluates F for every unfinished
     quantile with one betainc call and the mixture density from betaln; a step
-    that would leave the quantile's bracket bisects it instead.  A quantile is
-    done once |F(x) - q| <= QUANTILE_TOL, or when its bracket is narrower than
-    1e-15.  Rows are solved in batches that bound the betainc matrix's size.
+    that would leave the quantile's bracket bisects it instead (see
+    ``_newton_quantiles`` for the lower tail).  A quantile is done once
+    |F(x) - q| <= QUANTILE_TOL.  Where no double meets that (F jumps across q
+    between two adjacent doubles) or the step limit ends the search, the
+    bracket end nearer to q is returned and a warning counts such quantiles.
+    Rows are solved in batches that bound the betainc matrix's size.
     """
     weights = np.asarray(weights, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     levels = np.asarray(levels, dtype=np.float64)
     out = np.empty((weights.shape[0], levels.size))
+    missed = 0
     per = max(1, _BATCH_ENTRIES // (a.size * levels.size))
     for r0 in range(0, weights.shape[0], per):
-        out[r0 : r0 + per] = _newton_quantiles(weights[r0 : r0 + per], a, b, levels)
+        out[r0 : r0 + per], n = _newton_quantiles(weights[r0 : r0 + per], a, b, levels)
+        missed += n
+    if missed:
+        log.warning(
+            "%d of %d mixture quantiles could not meet |F - q| <= %g; "
+            "returned the bracket end nearer to q", missed, out.size, QUANTILE_TOL,
+        )
     return out
 
 
 def mixture_quantile(mix: BetaMixture, q: float) -> float:
-    """Invert the mixture CDF: x with |F(x) - q| <= QUANTILE_TOL."""
+    """Invert the mixture CDF: x with |F(x) - q| <= QUANTILE_TOL, where a double meets it."""
     if not (0.0 < q < 1.0):
         raise ValueError(f"quantile level must be in (0, 1), got {q}")
     return float(_mixture_quantiles(np.asarray(mix.weights)[None, :], mix.a, mix.b, (q,))[0, 0])

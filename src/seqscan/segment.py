@@ -228,11 +228,13 @@ def _coord_refine(kernel: StatKernel, lo: int, hi: int, cand, rounds: int = 2):
 
     Each sweep holds one endpoint fixed and moves the other across the full
     axis (endpoints swap roles when they cross), so every sweep evaluates the
-    region once and the cost is a fixed function of the region size.
+    region once.  The sweeps stop after a round that leaves the candidate
+    unchanged: the next round would hold the same endpoints fixed.
     """
     best = cand
     axis = np.arange(lo, hi + 1, dtype=np.int64)
     for _ in range(rounds):
+        start = best
         for fixed in (best[0], best[1]):
             anchor = np.full(axis.size, fixed, dtype=np.int64)
             I = np.minimum(anchor, axis)
@@ -240,6 +242,8 @@ def _coord_refine(kernel: StatKernel, lo: int, hi: int, cand, rounds: int = 2):
             i2, j2, v2 = _argbest(I, J, kernel.objective(I, J))
             if _better(i2, j2, v2, best):
                 best = (i2, j2, v2)
+        if best == start:
+            break
     return best
 
 
@@ -270,14 +274,15 @@ def iterative_grid_scan(
     kernel = StatKernel(process, stat_kind, lo, hi)
     level_best: list[tuple] = []
 
-    # dense sweep of all small widths, batched per width
+    # dense sweep of all small widths, batched per width; argmax takes the first
+    # maximum, the smallest i, as _argbest does among intervals of one width
     small = None
     for d in range(0, min(3 * G, n)):
-        I = np.arange(lo, hi - d + 1, dtype=np.int64)
-        J = I + d
-        i, j, v = _argbest(I, J, kernel.objective(I, J))
-        if _better(i, j, v, small):
-            small = (i, j, v)
+        v = kernel.objective_width(d)
+        k = int(np.argmax(v))
+        cand = (lo + k, lo + k + d, float(v[k]))
+        if _better(*cand, small):
+            small = cand
     level_best.append((small, 1))
 
     for w, floor, g in plan:

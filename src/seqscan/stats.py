@@ -180,9 +180,26 @@ class StatKernel:
             out[sl] = self._objective_block(I[sl], J[sl])
         return out
 
+    def objective_width(self, d: int) -> np.ndarray:
+        """``objective`` of every interval [i, i + d] of the window, in order of i.
+
+        The case counts come from two contiguous slices of the prefix sum and
+        the width enters as one scalar, so no index arrays are built; every
+        value equals ``objective`` on the same interval bit for bit.
+        """
+        ends = self.S[self.lo + d : self.hi + 1]
+        starts = self.S[self.lo - 1 : self.hi - d]
+        out = np.empty(ends.size)
+        for k in range(0, ends.size, self.CHUNK):
+            sl = slice(k, k + self.CHUNK)
+            out[sl] = self._values(ends[sl] - starts[sl], d + 1)
+        return out
+
     def _objective_block(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
-        x_in = self.S[J] - self.S[I - 1]
-        n_in = J - I + 1
+        return self._values(self.S[J] - self.S[I - 1], J - I + 1)
+
+    def _values(self, x_in, n_in) -> np.ndarray:
+        """Objective of intervals with case counts ``x_in`` and widths ``n_in`` (array or scalar)."""
         if self.stat_kind == "score":
             s, var = _score_parts(x_in, n_in, self.m, self._p)
             with np.errstate(divide="ignore", invalid="ignore"):

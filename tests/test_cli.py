@@ -1,4 +1,5 @@
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -144,7 +145,8 @@ class TestSegmentCommand:
         rc = cli.main(["segment", "--out-dir", str(tmp_path)])
         assert rc == 2
 
-    def test_thread_count_does_not_change_results(self, tmp_path):
+    @staticmethod
+    def write_three_chromosomes(tmp_path):
         rng = np.random.default_rng(3)
         case, control = tmp_path / "case.tsv", tmp_path / "control.tsv"
         with open(case, "w") as fc, open(control, "w") as fk:
@@ -155,17 +157,57 @@ class TestSegmentCommand:
                     fc.write(f"{chrom}\t{p}\n")
                 for p in np.sort(rng.integers(0, 10**5, 300)):
                     fk.write(f"{chrom}\t{p}\n")
-        outs = []
-        for threads, name in ((1, "t1"), (4, "t4")):
-            out = tmp_path / name
-            rc = cli.main([
-                "segment", "--case", str(case), "--control", str(control),
-                "--out-dir", str(out), "--threads", str(threads),
-                "--max-k", "8", "--band-grid-step", "20",
-            ])
-            assert rc == 0
-            outs.append((out / "segments.tsv").read_bytes())
-        assert outs[0] == outs[1]
+        return case, control
+
+    def test_thread_count_does_not_change_results(self, tmp_path):
+        case, control = self.write_three_chromosomes(tmp_path)
+        mbic = {"mbic_chr1.tsv", "mbic_chr2.tsv", "mbic_chr3.tsv"}
+        for command, extra, expected in (
+            ("segment", ["--band-grid-step", "20"], mbic | {"segments.tsv", "band.tsv"}),
+            ("mbic-curve", [], mbic),
+        ):
+            outs = {}
+            for threads in (1, 2, 4):
+                out = tmp_path / f"{command}-t{threads}"
+                rc = cli.main([
+                    command, "--case", str(case), "--control", str(control),
+                    "--out-dir", str(out), "--threads", str(threads), "--max-k", "8", *extra,
+                ])
+                assert rc == 0
+                outs[threads] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+            assert set(outs[1]) == expected
+            assert outs[2] == outs[1]
+            assert outs[4] == outs[1]
+
+    def test_workers_capped_at_chromosome_count(self, tmp_path, monkeypatch):
+        requested = []
+
+        class InlinePool:
+            """Stands in for ProcessPoolExecutor: records max_workers, runs jobs here."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        case, control = self.write_three_chromosomes(tmp_path)
+        rc = cli.main([
+            "mbic-curve", "--case", str(case), "--control", str(control),
+            "--out-dir", str(tmp_path / "out"), "--threads", "1000", "--max-k", "4",
+        ])
+        assert rc == 0
+        assert requested == [3]
+        assert len(list((tmp_path / "out").iterdir())) == 3
 
     def test_env_var_overrides_threads(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEQSCAN_THREADS", "not-a-number")

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import betainc
 from scipy.stats import beta as beta_dist
 
 from seqscan import (
@@ -14,6 +17,7 @@ from seqscan import (
     posterior_at,
     posterior_weights,
 )
+from seqscan import posterior
 from seqscan.posterior import _BoundaryPosterior, _segment_mixture_pairs
 from seqscan.process import segment_bounds
 
@@ -161,6 +165,39 @@ class TestMixtureQuantile:
             # |F(x) - q| <= 1e-8 pins x to within about 1e-8 / density of the exact quantile
             assert x == pytest.approx(ref, rel=0, abs=2e-8 / beta_dist.pdf(ref, a, b))
 
+    @pytest.mark.parametrize(
+        "a,b,q", [(0.05, 3.0, 0.025), (0.01, 0.01, 0.025), (0.02, 50.0, 0.5), (0.001, 1.0, 0.5)],
+    )
+    def test_lower_tail_quantile_matches_beta_ppf(self, a, b, q, caplog, monkeypatch):
+        # quantiles from 1e-17 down to 1e-301: far below any absolute bracket width
+        steps = []
+
+        def counted_betainc(*args):
+            steps.append(args)
+            return betainc(*args)
+
+        monkeypatch.setattr(posterior, "betainc", counted_betainc)
+        mix = BetaMixture(weights=np.ones(1), a=np.array([a]), b=np.array([b]))
+        with caplog.at_level(logging.WARNING, logger="seqscan.posterior"):
+            x = mixture_quantile(mix, q)
+        # log-scale bisection: a few dozen steps, not one per binade below the start
+        assert len(steps) <= 60
+        ref = beta_dist.ppf(q, a, b)
+        assert abs(beta_dist.cdf(x, a, b) - q) <= 1e-8
+        assert x == pytest.approx(ref, rel=0, abs=2e-8 / beta_dist.pdf(ref, a, b))
+        assert not caplog.records
+
+    def test_quantile_between_adjacent_doubles_warns(self, caplog):
+        # Beta(0.01, 0.01) at 0.975: F jumps from below 0.975 to 1 between the two
+        # largest doubles in [0, 1], so no double meets the tolerance
+        mix = BetaMixture(weights=np.ones(1), a=np.array([0.01]), b=np.array([0.01]))
+        assert 0.975 - mix.cdf(np.nextafter(1.0, 0.0)) > 1e-8
+        with caplog.at_level(logging.WARNING, logger="seqscan.posterior"):
+            x = mixture_quantile(mix, 0.975)
+        assert x == 1.0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and warnings[0].startswith("1 of 1 mixture quantiles")
+
     def test_weights_validated(self):
         with pytest.raises(ValueError):
             BetaMixture(weights=np.array([0.5, 0.4]), a=np.ones(2), b=np.ones(2))
@@ -219,6 +256,28 @@ class TestCiBand:
     def test_level_validated(self):
         with pytest.raises(InputError):
             ci_band(bernoulli_process(0.5, 50, 0), [], level=1.5)
+
+
+@st.composite
+def labeled_reads(draw):
+    """Labels, read positions with ties and up to three change points."""
+    z = draw(st.lists(st.integers(0, 1), min_size=4, max_size=40))
+    m = len(z)
+    taus = sorted(draw(st.sets(st.integers(2, m - 1), max_size=3)))
+    gaps = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
+    return proc_from_z(z, W=np.cumsum(gaps) + 1), taus
+
+
+@settings(max_examples=40, deadline=None)
+@given(labeled_reads(), st.sampled_from([0.5, 0.9, 0.95]))
+def test_band_rows_ascend_within_unit_interval(case, level):
+    # the point estimate is the segment's case fraction, not a posterior
+    # quantity, so it may fall outside the band (all-control segment: 0 < lower)
+    proc, taus = case
+    band = ci_band(proc, taus, level=level)
+    assert (np.diff(band.grid) > 0).all()
+    assert ((0.0 <= band.lower) & (band.lower <= band.upper) & (band.upper <= 1.0)).all()
+    assert ((0.0 <= band.point_est) & (band.point_est <= 1.0)).all()
 
 
 def reference_block_mixture(pairs, t):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqscan import InputError, ReadSet, merge_reads, relative_copy_number, to_genomic
 from seqscan.process import read_positions, segment_bounds
@@ -105,6 +107,25 @@ class TestToGenomic:
     def test_segment_bounds_last_includes_m(self):
         assert segment_bounds([3], 4) == [(1, 2), (3, 4)]
         assert segment_bounds([], 5) == [(1, 5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_to_genomic_segments_tile_the_reads(data):
+    z = data.draw(st.lists(st.integers(0, 1), min_size=2, max_size=50))
+    m = len(z)
+    taus = sorted(data.draw(st.sets(st.integers(2, m - 1), max_size=6))) if m > 2 else []
+    proc = proc_from_z(z, W=np.cumsum(data.draw(st.lists(st.integers(0, 3), min_size=m,
+                                                          max_size=m))) + 1)
+    segs = to_genomic(taus, proc)
+    assert segs[0].start_idx == 1 and segs[-1].end_idx == m
+    for prev, nxt in zip(segs, segs[1:]):
+        assert nxt.start_idx == prev.end_idx + 1
+        assert prev.end_bp <= nxt.start_bp
+    for s in segs:
+        assert s.start_idx <= s.end_idx
+        assert (s.start_bp, s.end_bp) == (proc.W[s.start_idx - 1], proc.W[s.end_idx - 1])
+    assert [s.start_idx for s in segs[1:]] == taus
 
 
 def test_relative_copy_number():

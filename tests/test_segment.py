@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from seqscan import cbs_segment, exhaustive_scan, glr, iterative_grid_scan, score
+from seqscan import StatKernel, cbs_segment, exhaustive_scan, glr, iterative_grid_scan, score
+from seqscan.segment import _argbest, _better, _coord_refine
 
 from conftest import bernoulli_process, proc_from_z
 
@@ -120,6 +121,51 @@ class TestIterativeGridScan:
         objs = [c.lambda_ij for c in res.candidates]
         assert objs == sorted(objs, reverse=True)
         assert res.best.lambda_ij == objs[0]
+
+
+def coord_refine_every_round(kernel, lo, hi, cand, rounds=2):
+    """Coordinate sweeps that run every round, moved or not (reference)."""
+    best = cand
+    axis = np.arange(lo, hi + 1, dtype=np.int64)
+    for _ in range(rounds):
+        for fixed in (best[0], best[1]):
+            anchor = np.full(axis.size, fixed, dtype=np.int64)
+            I = np.minimum(anchor, axis)
+            J = np.maximum(anchor, axis)
+            i2, j2, v2 = _argbest(I, J, kernel.objective(I, J))
+            if _better(i2, j2, v2, best):
+                best = (i2, j2, v2)
+    return best
+
+
+def test_coord_refine_early_stop_matches_every_round():
+    stopped_early = moved = 0
+    for seed in range(30):
+        rng = np.random.default_rng(500 + seed)
+        m = int(rng.integers(40, 400))
+        p = np.full(m, rng.uniform(0.2, 0.8))
+        if seed % 2:
+            start = int(rng.integers(0, m // 2))
+            p[start : start + m // 4] += rng.choice([-0.15, 0.15])
+        proc = proc_from_z((rng.random(m) < p).astype(int))
+        lo = int(rng.integers(1, m // 3))
+        hi = int(rng.integers(2 * m // 3, m + 1))
+        for stat in ("score", "glr"):
+            kernel = StatKernel(proc, stat, lo, hi)
+            for rounds in (1, 2, 3):
+                i = int(rng.integers(lo, hi + 1))
+                j = int(rng.integers(i, hi + 1))
+                cand = (i, j, float(kernel.objective(np.array([i]), np.array([j]))[0]))
+                want = coord_refine_every_round(kernel, lo, hi, cand, rounds)
+                assert _coord_refine(kernel, lo, hi, cand, rounds) == want
+                moved += want != cand
+                # at a fixed point of the sweeps the first round moves nothing
+                fixed = want
+                while (nxt := coord_refine_every_round(kernel, lo, hi, fixed, 1)) != fixed:
+                    fixed = nxt
+                assert _coord_refine(kernel, lo, hi, fixed, rounds) == fixed
+                stopped_early += rounds > 1
+    assert moved > 0 and stopped_early > 0
 
 
 class TestCbsSegment:

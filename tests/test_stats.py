@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from seqscan import StatKernel, glr, score
+from seqscan.segment import _argbest
 
 from conftest import bernoulli_process, proc_from_z
 
@@ -176,6 +177,30 @@ class TestStatKernel:
                 assert abs(getattr(got, field)) == obj
         with pytest.raises(ValueError, match="outside"):
             StatKernel(proc, "glr", lo, hi).stat(lo, hi)
+
+    @pytest.mark.parametrize("kind", ["score", "glr"])
+    @pytest.mark.parametrize("chunk", [StatKernel.CHUNK, 7])
+    def test_objective_width_equals_objective(self, kind, chunk, monkeypatch):
+        # a small chunk makes every window span several evaluation blocks
+        monkeypatch.setattr(StatKernel, "CHUNK", chunk)
+        rng = np.random.default_rng(21)
+        m = 300
+        p = np.where((np.arange(m) >= 100) & (np.arange(m) < 160), 0.8, 0.3)
+        procs = [proc_from_z((rng.random(m) < p).astype(int)), proc_from_z(np.ones(m, int))]
+        windows = [(1, m), (1, 2), (m - 1, m), (1, 41), (m - 40, m)]
+        for _ in range(6):
+            lo = int(rng.integers(1, m))
+            windows.append((lo, int(rng.integers(lo + 1, m + 1))))
+        for proc in procs:
+            for lo, hi in windows:
+                kernel = StatKernel(proc, kind, lo, hi)
+                for d in range(hi - lo + 1):
+                    I = np.arange(lo, hi - d + 1, dtype=np.int64)
+                    v = kernel.objective_width(d)
+                    assert np.array_equal(v, kernel.objective(I, I + d))
+                    # for one width the first maximum is _argbest's lexicographic pick
+                    k = int(np.argmax(v))
+                    assert _argbest(I, I + d, v) == (lo + k, lo + k + d, float(v[k]))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
