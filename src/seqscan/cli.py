@@ -13,10 +13,10 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,43 +46,41 @@ SEGMENT_COLUMNS = (
 TRUTH_COLUMNS = ("chrom", "start_bp", "end_bp", "multiplier")
 
 
-@dataclass
-class RunConfig:
-    """Knobs shared by the pipeline subcommands."""
+class _Parser(argparse.ArgumentParser):
+    """Raises every command-line mistake as an ``InputError`` for ``main`` to report."""
 
-    stat_kind: str = "glr"
-    grid_step: int = 10
-    max_k: int = 50
-    alpha: float = 1.0
-    beta: float = 1.0
-    ci_level: float = 0.95
-    epsilon: float = 1e-4
-    seed: int = 0
-    threads: int = 1
-    tolerance_reads: int = 100
-    band_grid_step: int = 1
-    case: str | None = None
-    control: str | None = None
-    out_dir: str = "."
-    extras: dict = field(default_factory=dict)
+    def error(self, message):
+        raise InputError(message)
 
-    def __post_init__(self):
-        if self.stat_kind not in ("score", "glr"):
-            raise InputError(f"--stat must be score or glr, got {self.stat_kind}")
-        if self.grid_step < 2:
-            raise InputError("--grid-step must be >= 2")
-        if self.max_k < 1:
-            raise InputError("--max-k must be >= 1")
-        if not (0 < self.ci_level < 1):
-            raise InputError("--ci-level must be in (0, 1)")
-        if not (0 < self.epsilon < 1):
-            raise InputError("--epsilon must be in (0, 1)")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise InputError("--alpha and --beta must be positive")
-        if self.threads < 1:
-            raise InputError("--threads must be >= 1")
-        if self.band_grid_step < 1:
-            raise InputError("--band-grid-step must be >= 1")
+
+_COMPARE = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"), "lt": (operator.lt, "<")}
+
+
+def _number(kind, **bounds):
+    """argparse ``type=``: a finite ``kind`` (int or float) within ``bounds``.
+
+    ``bounds`` maps ``ge``, ``gt`` or ``lt`` to a limit, so
+    ``_number(float, gt=0, lt=1)`` accepts the open interval (0, 1).
+    """
+    want = " and".join(f" {_COMPARE[op][1]} {limit:g}" for op, limit in bounds.items())
+    noun = "an integer" if kind is int else "a finite number"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+            ok = math.isfinite(value) and all(
+                _COMPARE[op][0](value, limit) for op, limit in bounds.items()
+            )
+        except (ValueError, OverflowError):  # OverflowError: int beyond float range
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"expected {noun}{want}, got {text!r}")
+        return value
+
+    return parse
+
+
+_THREADS = _number(int, ge=1)
 
 
 def _fmt(x) -> str:
@@ -95,11 +93,18 @@ def _fmt(x) -> str:
 
 def _write_atomic(path: str, header: str, rows) -> None:
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("#" + header + "\n")
-        for row in rows:
-            fh.write("\t".join(_fmt(v) for v in row) + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write("#" + header + "\n")
+            for row in rows:
+                fh.write("\t".join(_fmt(v) for v in row) + "\n")
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
+def _write_curve(out_dir: str, chrom: str, curve) -> None:
+    _write_atomic(os.path.join(out_dir, f"mbic_{chrom}.tsv"), "K\tmbic", enumerate(curve.values))
 
 
 def _band_rows(chrom: str, band) -> list[tuple]:
@@ -123,20 +128,23 @@ def _band_rows(chrom: str, band) -> list[tuple]:
     return [(chrom, pos, tails[r]) for pos, r in zip(band.grid.tolist(), run.tolist())]
 
 
-def _load_pair(config: RunConfig) -> dict[str, tuple[ReadSet, ReadSet]]:
+def _load_pair(
+    case_path: str | None, control_path: str | None, reads_path: str | None = None
+) -> dict[str, tuple[ReadSet, ReadSet]]:
     """Read the input TSVs into per-chromosome (case, control) ReadSet pairs.
 
     Accepts separate --case/--control files, or one --reads file with a
     case/control label column.
     """
-    labeled = config.extras.get("reads")
-    if labeled:
-        table = read_positions(labeled, label_mode=True)
+    if reads_path:
+        if case_path or control_path:
+            raise InputError("--reads excludes --case and --control")
+        table = read_positions(reads_path, label_mode=True)
         case = read_sets_from_table({c: v[0] for c, v in table.items()})
         control = read_sets_from_table({c: v[1] for c, v in table.items()})
-    elif config.case and config.control:
-        case = read_sets_from_table(read_positions(config.case))
-        control = read_sets_from_table(read_positions(config.control))
+    elif case_path and control_path:
+        case = read_sets_from_table(read_positions(case_path))
+        control = read_sets_from_table(read_positions(control_path))
     else:
         raise InputError("need --case and --control, or a labeled --reads file")
     empty = np.empty(0, dtype=np.int64)
@@ -149,35 +157,48 @@ def _load_pair(config: RunConfig) -> dict[str, tuple[ReadSet, ReadSet]]:
     return out
 
 
-def _segment_one(chrom: str, case: ReadSet, control: ReadSet, config: RunConfig, with_band: bool):
+def _segment_one(chrom: str, case: ReadSet, control: ReadSet, args: argparse.Namespace,
+                 with_band: bool):
     """Everything the output files need from one chromosome."""
     process = merge_reads(case, control)
-    sequence = cbs_segment(process, config.stat_kind, config.grid_step, config.max_k)
+    sequence = cbs_segment(process, args.stat, args.grid_step, args.max_k)
     _, curve, taus = select_k(process, sequence)
     segments = to_genomic(taus, process)
     band = None
     if with_band:
-        grid = np.unique(process.W)[:: config.band_grid_step]
+        grid = np.unique(process.W)[:: args.band_grid_step]
         band = ci_band(
             process,
             taus,
-            level=config.ci_level,
-            epsilon=config.epsilon,
-            alpha=config.alpha,
-            beta=config.beta,
+            level=args.ci_level,
+            epsilon=args.epsilon,
+            alpha=args.alpha,
+            beta=args.beta,
             grid=grid,
         )
     return curve, segments, band
 
 
-def _run_chromosomes(config: RunConfig, with_band: bool):
+def _thread_count(args: argparse.Namespace) -> int:
+    """--threads, or SEQSCAN_THREADS when that is set: the variable overrides the flag."""
+    env = os.environ.get("SEQSCAN_THREADS")
+    if not env:
+        return args.threads
+    try:
+        return _THREADS(env)
+    except argparse.ArgumentTypeError as exc:
+        raise InputError(f"SEQSCAN_THREADS: {exc}") from None
+
+
+def _run_chromosomes(args: argparse.Namespace, with_band: bool):
     """(chrom, curve, segments, band) of every chromosome, in sorted chromosome order.
 
-    Chromosomes are independent, so with ``config.threads`` above 1 they run in
-    up to that many worker processes, one chromosome per task; a single worker
-    or chromosome runs in this process.
+    Chromosomes are independent, so with a worker count (``_thread_count``)
+    above 1 they run in up to that many worker processes, one chromosome per
+    task; a single worker or chromosome runs in this process.
     """
-    pairs = _load_pair(config)
+    threads = _thread_count(args)
+    pairs = _load_pair(args.case, args.control, args.reads)
     jobs = []
     for chrom, (case, control) in pairs.items():
         if len(case) + len(control) < MIN_READS_PER_CHROM:
@@ -187,89 +208,73 @@ def _run_chromosomes(config: RunConfig, with_band: bool):
             )
             continue
         jobs.append((chrom, case, control))
-    workers = min(config.threads, len(jobs))
+    workers = min(threads, len(jobs))
     if workers <= 1:
-        results = [_segment_one(*job, config, with_band) for job in jobs]
+        results = [_segment_one(*job, args, with_band) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_segment_one, *job, config, with_band) for job in jobs]
+            futs = [pool.submit(_segment_one, *job, args, with_band) for job in jobs]
             results = [fut.result() for fut in futs]
     # _load_pair yields chromosomes in sorted order
     return [(chrom, *res) for (chrom, _, _), res in zip(jobs, results)]
 
 
-def run_segment(config: RunConfig) -> int:
+def run_segment(args: argparse.Namespace) -> int:
     """Full pipeline: merge, segment, select K, map to coordinates, band."""
-    os.makedirs(config.out_dir, exist_ok=True)
-    results = _run_chromosomes(config, with_band=True)
-
     seg_rows = []
     band_rows = []
-    for chrom, curve, segments, band in results:
+    for chrom, curve, segments, band in _run_chromosomes(args, with_band=True):
         for s in segments:
             seg_rows.append(
                 (chrom, s.start_bp, s.end_bp, s.start_idx, s.end_idx, s.n_case, s.n_control,
                  s.p_hat, s.rel_cn)
             )
         band_rows += _band_rows(chrom, band)
-        _write_atomic(
-            os.path.join(config.out_dir, f"mbic_{chrom}.tsv"),
-            "K\tmbic",
-            [(k, v) for k, v in enumerate(curve.values)],
-        )
+        _write_curve(args.out_dir, chrom, curve)
     _write_atomic(
-        os.path.join(config.out_dir, "segments.tsv"),
+        os.path.join(args.out_dir, "segments.tsv"),
         "\t".join(SEGMENT_COLUMNS),
         seg_rows,
     )
     _write_atomic(
-        os.path.join(config.out_dir, "band.tsv"),
+        os.path.join(args.out_dir, "band.tsv"),
         "chrom\tposition\tp_lower\tp_point\tp_upper\trel_cn_lower\trel_cn_point\trel_cn_upper",
         band_rows,
     )
     return 0
 
 
-def run_mbic_curve(config: RunConfig) -> int:
+def run_mbic_curve(args: argparse.Namespace) -> int:
     """Criterion curve only, one file per chromosome."""
-    os.makedirs(config.out_dir, exist_ok=True)
-    for chrom, curve, _, _ in _run_chromosomes(config, with_band=False):
-        _write_atomic(
-            os.path.join(config.out_dir, f"mbic_{chrom}.tsv"),
-            "K\tmbic",
-            [(k, v) for k, v in enumerate(curve.values)],
-        )
+    for chrom, curve, _, _ in _run_chromosomes(args, with_band=False):
+        _write_curve(args.out_dir, chrom, curve)
     return 0
 
 
-def run_simulate(config: RunConfig) -> int:
+def run_simulate(args: argparse.Namespace) -> int:
     """Simulate control/case read files plus the spiked-segment truth file."""
-    os.makedirs(config.out_dir, exist_ok=True)
-    x = config.extras
-    chrom = x.get("chrom", "chr1")
-    n_segments = x.get("n_segments", 50)
-    reads = x.get("reads", 100_000)
-    bin_width = x.get("bin_width", 1000)
-
-    if config.control:
-        table = read_sets_from_table(read_positions(config.control))
+    chrom = args.chrom
+    if args.control:
+        table = read_sets_from_table(read_positions(args.control))
         if chrom not in table:
-            raise InputError(f"chromosome {chrom!r} not found in {config.control}")
-        baseline = estimate_baseline(table[chrom], bin_width=bin_width, bandwidth=x.get("bandwidth", 10.0))
+            raise InputError(f"chromosome {chrom!r} not found in {args.control}")
+        baseline = estimate_baseline(
+            table[chrom], bin_width=args.bin_width, bandwidth=args.bandwidth
+        )
     else:
         baseline = sine_baseline(
-            span_bp=x.get("span_bp", int(5e7)),
-            bin_width=bin_width,
-            period_bp=x.get("sine_period", 2e6),
-            depth=x.get("sine_depth", 0.5),
+            span_bp=args.span_bp,
+            bin_width=args.bin_width,
+            period_bp=args.sine_period,
+            depth=args.sine_depth,
         )
 
-    seeds = np.random.SeedSequence(config.seed).spawn(3)
-    if n_segments > 0:
+    seeds = np.random.SeedSequence(args.seed).spawn(3)
+    if args.n_segments > 0:
         case_intensity, truth = spike_in(
             baseline,
-            n_segments,
-            length_law=(x.get("min_seg_bp", 2e5), x.get("max_seg_bp", 5e5)),
+            args.n_segments,
+            length_law=(args.min_seg_bp, args.max_seg_bp),
             multipliers=(GAIN, LOSS),
             seed=seeds[0],
         )
@@ -281,21 +286,21 @@ def run_simulate(config: RunConfig) -> int:
         case_intensity = baseline
         truth_rows = []
 
-    case_reads = sample_nhpp(case_intensity, reads, seed=seeds[1], chromosome=chrom)
-    control_reads = sample_nhpp(baseline, reads, seed=seeds[2], chromosome=chrom)
+    case_reads = sample_nhpp(case_intensity, args.reads, seed=seeds[1], chromosome=chrom)
+    control_reads = sample_nhpp(baseline, args.reads, seed=seeds[2], chromosome=chrom)
 
     _write_atomic(
-        os.path.join(config.out_dir, "case.tsv"),
+        os.path.join(args.out_dir, "case.tsv"),
         "chrom\tposition",
         [(chrom, int(p)) for p in case_reads.positions],
     )
     _write_atomic(
-        os.path.join(config.out_dir, "control.tsv"),
+        os.path.join(args.out_dir, "control.tsv"),
         "chrom\tposition",
         [(chrom, int(p)) for p in control_reads.positions],
     )
     _write_atomic(
-        os.path.join(config.out_dir, "truth.tsv"),
+        os.path.join(args.out_dir, "truth.tsv"),
         "\t".join(TRUTH_COLUMNS),
         truth_rows,
     )
@@ -320,18 +325,15 @@ def _read_called_indices(path: str) -> dict[str, list[int]]:
     return {chrom: sorted(v)[1:] for chrom, v in out.items()}
 
 
-def run_evaluate(config: RunConfig) -> int:
+def run_evaluate(args: argparse.Namespace) -> int:
     """Match called change points against a truth file; write a report row.
 
     Matching runs in read-index units by default; --tolerance-bp switches
     the distances to genomic coordinates.
     """
-    os.makedirs(config.out_dir, exist_ok=True)
-    x = config.extras
-    truth_bp = _read_truth(x["truth"])
-    called = _read_called_indices(x["calls"])
-    pairs = _load_pair(config)
-    tolerance_bp = x.get("tolerance_bp")
+    truth_bp = _read_truth(args.truth)
+    called = _read_called_indices(args.calls)
+    pairs = _load_pair(args.case, args.control)
 
     n_true = n_called = n_matched = 0
     for chrom in sorted(set(truth_bp) | set(called)):
@@ -339,16 +341,16 @@ def run_evaluate(config: RunConfig) -> int:
             raise InputError(f"chromosome {chrom!r} missing from read files")
         process = merge_reads(*pairs[chrom])
         called_idx = called.get(chrom, [])
-        if tolerance_bp is not None:
+        if args.tolerance_bp is not None:
             called_pos = [int(process.W[i - 1]) for i in called_idx]
             report = match_changepoints(
-                called_pos, truth_bp.get(chrom, []), tolerance_reads=int(tolerance_bp)
+                called_pos, truth_bp.get(chrom, []), tolerance_reads=args.tolerance_bp
             )
             n_true += len(truth_bp.get(chrom, []))
         else:
             truth_idx = [nearest_read_index(process, bp) for bp in truth_bp.get(chrom, [])]
             report = match_changepoints(
-                called_idx, truth_idx, tolerance_reads=config.tolerance_reads
+                called_idx, truth_idx, tolerance_reads=args.tolerance_reads
             )
             n_true += len(truth_idx)
         n_called += len(called_idx)
@@ -357,122 +359,86 @@ def run_evaluate(config: RunConfig) -> int:
     recall = n_matched / n_true if n_true else 1.0
     precision = n_matched / n_called if n_called else (1.0 if n_true == 0 else 0.0)
     _write_atomic(
-        os.path.join(config.out_dir, "report.tsv"),
+        os.path.join(args.out_dir, "report.tsv"),
         "replicate\tn_true\tn_called\tn_matched\trecall\tprecision",
-        [(x.get("replicate_id", 0), n_true, n_called, n_matched, recall, precision)],
+        [(args.replicate_id, n_true, n_called, n_matched, recall, precision)],
     )
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--stat", default="glr", choices=("score", "glr"))
-    p.add_argument("--grid-step", type=int, default=10, help="grid refinement factor G")
-    p.add_argument("--max-k", type=int, default=50)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--ci-level", type=float, default=0.95)
-    p.add_argument("--epsilon", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--out-dir", default=".")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="seqscan", description=__doc__)
+    """The ``seqscan`` parser: each subcommand declares only the flags it reads."""
+    common = _Parser(add_help=False)
+    common.add_argument("--seed", type=_number(int, ge=0), default=0,
+                        help="random seed (only simulate draws random numbers)")
+    common.add_argument("--out-dir", default=".")
+
+    scan = _Parser(add_help=False)
+    scan.add_argument("--case")
+    scan.add_argument("--control")
+    scan.add_argument("--reads", help="single labeled input (chrom, position, label); "
+                      "excludes --case and --control")
+    scan.add_argument("--stat", default="glr", choices=("score", "glr"))
+    scan.add_argument("--grid-step", type=_number(int, ge=2), default=10,
+                      help="grid refinement factor G")
+    scan.add_argument("--max-k", type=_number(int, ge=1), default=50)
+    scan.add_argument("--threads", type=_THREADS, default=1,
+                      help="worker processes (SEQSCAN_THREADS overrides)")
+
+    ap = _Parser(prog="seqscan", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    seg = sub.add_parser("segment", help="segment case vs control reads")
-    _add_common(seg)
-    seg.add_argument("--case")
-    seg.add_argument("--control")
-    seg.add_argument("--reads", help="single labeled input (chrom, position, label)")
-    seg.add_argument("--band-grid-step", type=int, default=1,
+    seg = sub.add_parser("segment", parents=[common, scan], help="segment case vs control reads")
+    seg.add_argument("--alpha", type=_number(float, gt=0), default=1.0)
+    seg.add_argument("--beta", type=_number(float, gt=0), default=1.0)
+    seg.add_argument("--ci-level", type=_number(float, gt=0, lt=1), default=0.95)
+    seg.add_argument("--epsilon", type=_number(float, gt=0, lt=1), default=1e-4)
+    seg.add_argument("--band-grid-step", type=_number(int, ge=1), default=1,
                      help="evaluate the band every Nth read position")
+    seg.set_defaults(run=run_segment)
 
-    sim = sub.add_parser("simulate", help="spike-in read simulation")
-    _add_common(sim)
+    sim = sub.add_parser("simulate", parents=[common], help="spike-in read simulation")
     sim.add_argument("--control", help="real control reads for the baseline (else synthetic)")
     sim.add_argument("--chrom", default="chr1")
-    sim.add_argument("--n-segments", type=int, default=50)
-    sim.add_argument("--reads", type=int, default=100_000, help="target reads per sample")
-    sim.add_argument("--span-bp", type=int, default=int(5e7))
-    sim.add_argument("--bin-width", type=int, default=1000)
-    sim.add_argument("--bandwidth", type=float, default=10.0, help="smoothing sigma in bins")
-    sim.add_argument("--min-seg-bp", type=float, default=2e5)
-    sim.add_argument("--max-seg-bp", type=float, default=5e5)
-    sim.add_argument("--sine-period", type=float, default=2e6)
-    sim.add_argument("--sine-depth", type=float, default=0.5)
+    sim.add_argument("--n-segments", type=_number(int, ge=0), default=50)
+    sim.add_argument("--reads", type=_number(int, ge=0), default=100_000,
+                     help="target reads per sample")
+    sim.add_argument("--span-bp", type=_number(int, ge=1), default=int(5e7))
+    sim.add_argument("--bin-width", type=_number(int, ge=1), default=1000)
+    sim.add_argument("--bandwidth", type=_number(float, gt=0), default=10.0,
+                     help="smoothing sigma in bins")
+    sim.add_argument("--min-seg-bp", type=_number(float, gt=0), default=2e5)
+    sim.add_argument("--max-seg-bp", type=_number(float, gt=0), default=5e5)
+    sim.add_argument("--sine-period", type=_number(float, gt=0), default=2e6)
+    sim.add_argument("--sine-depth", type=_number(float, ge=0, lt=1), default=0.5)
+    sim.set_defaults(run=run_simulate)
 
-    ev = sub.add_parser("evaluate", help="score calls against a truth file")
-    _add_common(ev)
+    ev = sub.add_parser("evaluate", parents=[common], help="score calls against a truth file")
     ev.add_argument("--case", required=True)
     ev.add_argument("--control", required=True)
     ev.add_argument("--truth", required=True)
     ev.add_argument("--calls", required=True, help="segments.tsv from the segment subcommand")
-    ev.add_argument("--tolerance-reads", type=int, default=100)
-    ev.add_argument("--tolerance-bp", type=int,
+    ev.add_argument("--tolerance-reads", type=_number(int, ge=0), default=100)
+    ev.add_argument("--tolerance-bp", type=_number(int, ge=0),
                     help="match in genomic coordinates instead of read indices")
     ev.add_argument("--replicate-id", type=int, default=0)
+    ev.set_defaults(run=run_evaluate)
 
-    mb = sub.add_parser("mbic-curve", help="criterion curve only")
-    _add_common(mb)
-    mb.add_argument("--case")
-    mb.add_argument("--control")
-    mb.add_argument("--reads", help="single labeled input (chrom, position, label)")
+    mb = sub.add_parser("mbic-curve", parents=[common, scan], help="criterion curve only")
+    mb.set_defaults(run=run_mbic_curve)
 
     return ap
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    threads = args.threads
-    env = os.environ.get("SEQSCAN_THREADS")
-    if env:
-        try:
-            threads = int(env)
-        except ValueError:
-            raise InputError(f"SEQSCAN_THREADS={env!r} is not an integer")
-    extras = {
-        k.replace("-", "_"): v
-        for k, v in vars(args).items()
-        if k not in {
-            "command", "stat", "grid_step", "max_k", "alpha", "beta", "ci_level",
-            "epsilon", "seed", "threads", "out_dir", "case", "control",
-            "tolerance_reads", "band_grid_step",
-        } and v is not None
-    }
-    return RunConfig(
-        stat_kind=args.stat,
-        grid_step=args.grid_step,
-        max_k=args.max_k,
-        alpha=args.alpha,
-        beta=args.beta,
-        ci_level=args.ci_level,
-        epsilon=args.epsilon,
-        seed=args.seed,
-        threads=threads,
-        tolerance_reads=getattr(args, "tolerance_reads", 100),
-        band_grid_step=getattr(args, "band_grid_step", 1),
-        case=getattr(args, "case", None),
-        control=getattr(args, "control", None),
-        out_dir=args.out_dir,
-        extras=extras,
-    )
-
-
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        if args.command == "segment":
-            return run_segment(config)
-        if args.command == "simulate":
-            return run_simulate(config)
-        if args.command == "evaluate":
-            return run_evaluate(config)
-        if args.command == "mbic-curve":
-            return run_mbic_curve(config)
-        raise InputError(f"unknown command {args.command!r}")
+        args = build_parser().parse_args(argv)
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"cannot create --out-dir {args.out_dir}: {exc}") from None
+        return args.run(args)
     except InputError as exc:
         print(f"seqscan: error: {exc}", file=sys.stderr)
         return 2

@@ -1,11 +1,14 @@
+import itertools
 import os
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqscan.cli as cli
-from seqscan import InputError, PosteriorBand, ci_band, relative_copy_number
+from seqscan import PosteriorBand, ci_band, relative_copy_number
 
 from conftest import proc_from_z
 
@@ -112,34 +115,69 @@ class TestSegmentCommand:
 
     @pytest.mark.parametrize("mistake", [
         "band_grid_step_zero", "band_grid_step_negative", "missing_case_file",
-        "binary_case_file", "non_integer_calls_index",
+        "binary_case_file", "non_integer_calls_index", "bin_width_zero", "sine_period_zero",
+        "seed_negative", "out_dir_not_creatable", "alpha_nan", "n_segments_negative",
+        "tolerance_reads_negative", "reads_with_case", "max_k_not_integer", "mbic_curve_alpha",
     ])
     def test_input_error_exit_code(self, tmp_path, capsys, mistake):
         case, control = tmp_path / "case.tsv", tmp_path / "control.tsv"
         write_reads(case, range(0, 400, 2))
         write_reads(control, range(1, 400, 2))
-        segment = ["segment", "--case", str(case), "--control", str(control),
-                   "--out-dir", str(tmp_path / "out")]
-        if mistake == "band_grid_step_zero":
-            argv = segment + ["--band-grid-step", "0"]
-        elif mistake == "band_grid_step_negative":
-            argv = segment + ["--band-grid-step", "-1"]
-        elif mistake == "missing_case_file":
-            argv = segment[:2] + [str(tmp_path / "absent.tsv")] + segment[3:]
-        elif mistake == "binary_case_file":
-            case.write_bytes(bytes(range(128, 256)))
-            argv = segment
-        else:
-            (tmp_path / "truth.tsv").write_text("chr1\t100\t200\t1.5\n")
-            (tmp_path / "calls.tsv").write_text(
-                "chr1\t0\t399\tone\t400\t200\t200\t0.5\t1\n"
-            )
-            argv = ["evaluate", "--case", str(case), "--control", str(control),
-                    "--truth", str(tmp_path / "truth.tsv"),
-                    "--calls", str(tmp_path / "calls.tsv"), "--out-dir", str(tmp_path / "ev")]
+        (tmp_path / "binary.tsv").write_bytes(bytes(range(128, 256)))
+        (tmp_path / "reads.tsv").write_text(
+            "".join(f"chr1\t{p}\t{('case', 'control')[p % 2]}\n" for p in range(400))
+        )
+        (tmp_path / "truth.tsv").write_text("chr1\t100\t200\t1.5\n")
+        (tmp_path / "calls.tsv").write_text("chr1\t0\t399\t1\t400\t200\t200\t0.5\t1\n")
+        (tmp_path / "bad_calls.tsv").write_text("chr1\t0\t399\tone\t400\t200\t200\t0.5\t1\n")
+        out = tmp_path / "out"
+        pair = ["--case", str(case), "--control", str(control)]
+        segment = ["segment", *pair, "--out-dir", str(out)]
+        simulate = ["simulate", "--span-bp", "200000", "--reads", "300", "--n-segments", "0",
+                    "--out-dir", str(out)]
+        evaluate = ["evaluate", *pair, "--truth", str(tmp_path / "truth.tsv"),
+                    "--calls", str(tmp_path / "calls.tsv"), "--out-dir", str(out)]
+        argv = {
+            "band_grid_step_zero": segment + ["--band-grid-step", "0"],
+            "band_grid_step_negative": segment + ["--band-grid-step", "-1"],
+            "missing_case_file": segment + ["--case", str(tmp_path / "absent.tsv")],
+            "binary_case_file": segment + ["--case", str(tmp_path / "binary.tsv")],
+            "non_integer_calls_index": evaluate + ["--calls", str(tmp_path / "bad_calls.tsv")],
+            "bin_width_zero": simulate + ["--bin-width", "0"],
+            "sine_period_zero": simulate + ["--sine-period", "0"],
+            "seed_negative": simulate + ["--seed", "-1"],
+            "out_dir_not_creatable": simulate + ["--out-dir", str(case / "sub")],
+            "alpha_nan": segment + ["--alpha", "nan"],
+            "n_segments_negative": simulate + ["--n-segments", "-3"],
+            "tolerance_reads_negative": evaluate + ["--tolerance-reads", "-1"],
+            "reads_with_case": segment + ["--reads", str(tmp_path / "reads.tsv")],
+            "max_k_not_integer": segment + ["--max-k", "abc"],
+            "mbic_curve_alpha": ["mbic-curve", *pair, "--out-dir", str(out), "--alpha", "7"],
+        }[mistake]
         assert cli.main(argv) == 2
-        assert capsys.readouterr().err.count("seqscan: error:") == 1
-        assert not (tmp_path / "out" / "band.tsv").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("seqscan: error: ")
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("blocked", ["out_dir_is_file", "tmp_path_is_directory"])
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, blocked):
+        case, control = tmp_path / "case.tsv", tmp_path / "control.tsv"
+        write_reads(case, range(0, 400, 2))
+        write_reads(control, range(1, 400, 2))
+        out = tmp_path / "out"
+        if blocked == "out_dir_is_file":
+            out.write_text("keep")
+        else:
+            (out / "segments.tsv.tmp").mkdir(parents=True)
+        rc = cli.main(["segment", "--case", str(case), "--control", str(control),
+                       "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("seqscan: error: ")
+        if blocked == "out_dir_is_file":
+            assert out.read_text() == "keep"
+        else:
+            assert not (out / "segments.tsv").exists() and not (out / "band.tsv").exists()
 
     def test_missing_inputs_rejected(self, tmp_path, capsys):
         rc = cli.main(["segment", "--out-dir", str(tmp_path)])
@@ -356,17 +394,94 @@ class TestEvaluateCommand:
         assert rows[0][4] == "1" and rows[0][5] == "1"
 
 
-class TestRunConfig:
-    def test_validation(self):
-        with pytest.raises(InputError):
-            cli.RunConfig(stat_kind="nope")
-        with pytest.raises(InputError):
-            cli.RunConfig(grid_step=1)
-        with pytest.raises(InputError):
-            cli.RunConfig(ci_level=0.0)
-        with pytest.raises(InputError):
-            cli.RunConfig(epsilon=2.0)
-        cfg = cli.RunConfig()
-        assert (cfg.stat_kind, cfg.grid_step, cfg.max_k) == ("glr", 10, 50)
-        assert (cfg.alpha, cfg.beta, cfg.ci_level, cfg.epsilon) == (1.0, 1.0, 0.95, 1e-4)
-        assert cfg.tolerance_reads == 100
+class TestParser:
+    def test_defaults_and_rejected_values(self, tmp_path, capsys):
+        parse = cli.build_parser().parse_args
+        args = parse(["segment"])
+        assert (args.stat, args.grid_step, args.max_k) == ("glr", 10, 50)
+        assert (args.alpha, args.beta, args.ci_level, args.epsilon) == (1.0, 1.0, 0.95, 1e-4)
+        evaluate = parse(["evaluate", "--case", "c", "--control", "k", "--truth", "t",
+                          "--calls", "s"])
+        assert evaluate.tolerance_reads == 100
+        for flag, value in (("--stat", "nope"), ("--grid-step", "1"), ("--ci-level", "0.0"),
+                            ("--epsilon", "2.0")):
+            out = tmp_path / flag
+            assert cli.main(["segment", flag, value, "--out-dir", str(out)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"seqscan: error: argument {flag}")
+            assert not out.exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["segment", "--help"])
+        assert exc.value.code == 0
+        assert "--band-grid-step" in capsys.readouterr().out
+
+
+# a small valid value per numeric flag; the fuzz draws each from it and the boundary values
+SMALL_VALID = {
+    "segment": {"--seed": "3", "--grid-step": "3", "--max-k": "4", "--alpha": "0.5",
+                "--beta": "2", "--ci-level": "0.9", "--epsilon": "0.001",
+                "--band-grid-step": "7"},
+    "mbic-curve": {"--seed": "3", "--grid-step": "3", "--max-k": "4"},
+    "simulate": {"--seed": "3", "--n-segments": "2", "--reads": "300", "--span-bp": "200000",
+                 "--bin-width": "1000", "--bandwidth": "5", "--min-seg-bp": "20000",
+                 "--max-seg-bp": "40000", "--sine-period": "50000", "--sine-depth": "0.3"},
+    "evaluate": {"--seed": "3", "--tolerance-reads": "10", "--tolerance-bp": "500",
+                 "--replicate-id": "4"},
+}
+
+
+def test_flag_fuzz_exits_zero_or_two_with_one_line(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    case, control = tmp_path / "case.tsv", tmp_path / "control.tsv"
+    with open(case, "w") as fc, open(control, "w") as fk:
+        for chrom in ("chr1", "chr2"):
+            for p in np.sort(rng.integers(0, 10**5, 150)):
+                fc.write(f"{chrom}\t{p}\n")
+            for p in np.sort(rng.integers(0, 10**5, 150)):
+                fk.write(f"{chrom}\t{p}\n")
+    (tmp_path / "truth.tsv").write_text("chr1\t20000\t40000\t1.5\n")
+    (tmp_path / "calls.tsv").write_text(
+        "chr1\t0\t9\t1\t99\t0\t0\t0.5\t1\nchr1\t10\t99\t100\t300\t0\t0\t0.5\t1\n"
+    )
+    pair = ["--case", str(case), "--control", str(control)]
+    # simulate's defaults are a full-size run: pin its sizes small; drawn values override them
+    sizes = [arg for flag in ("--n-segments", "--reads", "--span-bp", "--min-seg-bp",
+                              "--max-seg-bp") for arg in (flag, SMALL_VALID["simulate"][flag])]
+    base = {
+        "segment": pair,
+        "mbic-curve": pair,
+        "simulate": sizes,
+        "evaluate": pair + ["--truth", str(tmp_path / "truth.tsv"),
+                            "--calls", str(tmp_path / "calls.tsv")],
+    }
+    boundary = {
+        command: {flag: ["-1", "0", "1", valid, "nan", "inf", "x"]
+                  for flag, valid in SMALL_VALID[command].items()}
+        for command in base
+    }
+    for command in ("segment", "mbic-curve"):
+        boundary[command]["--threads"] = ["1", "2", "0", "-1", "x"]
+    # every (subcommand, flag, value) is equally likely to be the one under test
+    targets = [(command, flag, value) for command, flags in sorted(boundary.items())
+               for flag, values in sorted(flags.items()) for value in values]
+    runs = itertools.count()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def run(data):
+        command, flag, value = data.draw(st.sampled_from(targets))
+        argv = [command, *base[command], "--out-dir", str(tmp_path / f"out{next(runs)}"),
+                flag, value]
+        others = sorted(set(boundary[command]) - {flag})
+        for other in data.draw(st.lists(st.sampled_from(others), max_size=2, unique=True)):
+            argv += [other, data.draw(st.sampled_from(boundary[command][other]))]
+        if command == "simulate" and data.draw(st.booleans()):
+            argv += ["--control", str(control)]
+        rc = cli.main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 0 or (rc == 2 and len(err) == 1 and err[0].startswith("seqscan: error: ")), (
+            argv, rc, err)
+
+    run()
