@@ -24,6 +24,7 @@ from .evaluate import match_changepoints, nearest_read_index
 from .mbic import select_k
 from .posterior import ci_band
 from .process import (
+    MAX_POSITION,
     CombinedProcess,
     InputError,
     ReadSet,
@@ -53,13 +54,14 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-_COMPARE = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"), "lt": (operator.lt, "<")}
+_COMPARE = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"), "le": (operator.le, "<="),
+            "lt": (operator.lt, "<")}
 
 
 def _number(kind, **bounds):
     """argparse ``type=``: a finite ``kind`` (int or float) within ``bounds``.
 
-    ``bounds`` maps ``ge``, ``gt`` or ``lt`` to a limit, so
+    ``bounds`` maps ``ge``, ``gt``, ``le`` or ``lt`` to a limit, so
     ``_number(float, gt=0, lt=1)`` accepts the open interval (0, 1).
     """
     want = " and".join(f" {_COMPARE[op][1]} {limit:g}" for op, limit in bounds.items())
@@ -316,31 +318,37 @@ def _read_truth(path: str) -> dict[str, list[int]]:
     return {chrom: sorted(v) for chrom, v in out.items()}
 
 
-def _read_called_indices(path: str) -> dict[str, list[int]]:
-    """Segments TSV -> per-chromosome called change points as read indices."""
+def _read_segment_starts(path: str) -> dict[str, list[int]]:
+    """Segments TSV -> per-chromosome sorted segment start read indices."""
     out: dict[str, list[int]] = {}
     for _, parts in read_tsv_rows(path, SEGMENT_COLUMNS, int_columns=("start_idx",)):
         out.setdefault(parts[0], []).append(parts[3])
-    # the first segment of each chromosome starts at read 1: not a change point
-    return {chrom: sorted(v)[1:] for chrom, v in out.items()}
+    return {chrom: sorted(v) for chrom, v in out.items()}
 
 
 def run_evaluate(args: argparse.Namespace) -> int:
     """Match called change points against a truth file; write a report row.
 
     Matching runs in read-index units by default; --tolerance-bp switches
-    the distances to genomic coordinates.
+    the distances to genomic coordinates.  Every ``start_idx`` of --calls
+    must lie in 1..m, m being its chromosome's merged read count.
     """
     truth_bp = _read_truth(args.truth)
-    called = _read_called_indices(args.calls)
+    starts = _read_segment_starts(args.calls)
     pairs = _load_pair(args.case, args.control)
 
     n_true = n_called = n_matched = 0
-    for chrom in sorted(set(truth_bp) | set(called)):
+    for chrom in sorted(set(truth_bp) | set(starts)):
         if chrom not in pairs:
             raise InputError(f"chromosome {chrom!r} missing from read files")
         process = merge_reads(*pairs[chrom])
-        called_idx = called.get(chrom, [])
+        chrom_starts = starts.get(chrom, [])
+        for i in chrom_starts:
+            if not 1 <= i <= process.m:
+                raise InputError(f"{args.calls}: start_idx {i} on {chrom} outside 1..{process.m}, "
+                                 "the merged read indices")
+        # the first segment of each chromosome starts at read 1: not a change point
+        called_idx = chrom_starts[1:]
         if args.tolerance_bp is not None:
             called_pos = [int(process.W[i - 1]) for i in called_idx]
             report = match_changepoints(
@@ -400,14 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", parents=[common], help="spike-in read simulation")
     sim.add_argument("--control", help="real control reads for the baseline (else synthetic)")
     sim.add_argument("--chrom", default="chr1")
-    sim.add_argument("--n-segments", type=_number(int, ge=0), default=50)
-    sim.add_argument("--reads", type=_number(int, ge=0), default=100_000,
+    sim.add_argument("--n-segments", type=_number(int, ge=0, le=10**5), default=50)
+    sim.add_argument("--reads", type=_number(int, ge=0, le=10**9), default=100_000,
                      help="target reads per sample")
-    sim.add_argument("--span-bp", type=_number(int, ge=1), default=int(5e7))
-    sim.add_argument("--bin-width", type=_number(int, ge=1), default=1000)
+    sim.add_argument("--span-bp", type=_number(int, ge=1, le=MAX_POSITION), default=int(5e7))
+    sim.add_argument("--bin-width", type=_number(int, ge=1, le=MAX_POSITION), default=1000)
     sim.add_argument("--bandwidth", type=_number(float, gt=0), default=10.0,
                      help="smoothing sigma in bins")
-    sim.add_argument("--min-seg-bp", type=_number(float, gt=0), default=2e5)
+    sim.add_argument("--min-seg-bp", type=_number(float, ge=1), default=2e5)
     sim.add_argument("--max-seg-bp", type=_number(float, gt=0), default=5e5)
     sim.add_argument("--sine-period", type=_number(float, gt=0), default=2e6)
     sim.add_argument("--sine-depth", type=_number(float, ge=0, lt=1), default=0.5)

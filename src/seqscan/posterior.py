@@ -292,56 +292,41 @@ def mixture_quantile(mix: BetaMixture, q: float) -> float:
 MAX_BOUNDARY_CANDIDATES = 100
 
 
-class _BoundaryPosterior:
-    """Truncated location posterior of one called change point."""
+def _boundary_posterior(process, window_lo, window_hi, alpha, beta, epsilon):
+    """Truncated location posterior of one called change point.
 
-    def __init__(self, process, tau, window_lo, window_hi, alpha, beta, epsilon):
-        logs = cp_likelihoods(process, alpha, beta, lo=window_lo, hi=window_hi)
-        # the last candidate leaves the right side empty: not a valid boundary
-        trimmed = CpLikelihoods(
-            indices=logs.indices[:-1], log_l=logs.log_l[:-1], window=logs.window
-        )
-        tw = posterior_weights(trimmed, epsilon)
-        idx, w, r = tw.indices, tw.weights, tw.ratios
-        self.truncated = idx.size > MAX_BOUNDARY_CANDIDATES
-        if self.truncated:
-            top = np.lexsort((idx, -w))[:MAX_BOUNDARY_CANDIDATES]
-            top.sort()
-            idx, w, r = idx[top], w[top], r[top]
-            w = w / w.sum()
-        self.tau = tau
-        self.split = idx  # last read index of the left side
-        self.weights = w
-        self.ratios = r
+    Returns (split, weights, ratios, truncated): each candidate's last read
+    index of the left side, its normalized weight and its likelihood ratio
+    to the best candidate, and whether ``MAX_BOUNDARY_CANDIDATES`` cut it.
+    """
+    logs = cp_likelihoods(process, alpha, beta, lo=window_lo, hi=window_hi)
+    # the last candidate leaves the right side empty: not a valid boundary
+    trimmed = CpLikelihoods(indices=logs.indices[:-1], log_l=logs.log_l[:-1], window=logs.window)
+    tw = posterior_weights(trimmed, epsilon)
+    idx, w, r = tw.indices, tw.weights, tw.ratios
+    truncated = idx.size > MAX_BOUNDARY_CANDIDATES
+    if truncated:
+        top = np.lexsort((idx, -w))[:MAX_BOUNDARY_CANDIDATES]
+        top.sort()
+        idx, w, r = idx[top], w[top], r[top]
+        w = w / w.sum()
+    return idx, w, r, truncated
 
 
-def _segment_mixture_pairs(process, seg_idx, segs, left, right, alpha, beta, epsilon):
+def _segment_mixture_pairs(process, reads, left, right, alpha, beta, epsilon):
     """Joint flanking-boundary candidates for one segment.
 
-    Returns per-pair arrays: split positions, weight, and the Beta parameters
-    the pair implies for positions left of the segment, inside it, and right
-    of it.  Virtual fixed boundaries stand in when the segment touches a
-    chromosome end.
+    ``reads`` holds the first read of the previous segment (1 for the first
+    segment), the segment's first and last read, and the last read of the
+    next segment (m for the last); ``left`` and ``right`` are its boundary
+    posteriors as ``_boundary_posterior`` returns them.  Returns per-pair
+    arrays: split positions, weight, and the Beta parameters the pair implies
+    for positions left of the segment, inside it, and right of it.
     """
     S = process.S
-    m = process.m
-    if left is not None:
-        cl, wl, rl = left.split, left.weights, left.ratios
-        prev_start = segs[seg_idx - 1][0]
-    else:
-        cl = np.array([segs[seg_idx][0] - 1], dtype=np.int64)
-        wl = np.ones(1)
-        rl = np.ones(1)
-        prev_start = 1
-    if right is not None:
-        cr, wr, rr = right.split, right.weights, right.ratios
-        next_end = segs[seg_idx + 1][1]
-    else:
-        cr = np.array([segs[seg_idx][1]], dtype=np.int64)
-        wr = np.ones(1)
-        rr = np.ones(1)
-        next_end = m
-
+    prev_start, start, end, next_end = reads
+    cl, wl, rl, _ = left
+    cr, wr, rr, _ = right
     CL = np.repeat(cl, cr.size)
     CR = np.tile(cr, cl.size)
     W = np.repeat(wl, cr.size) * np.tile(wr, cl.size)
@@ -349,8 +334,8 @@ def _segment_mixture_pairs(process, seg_idx, segs, left, right, alpha, beta, eps
     keep = (CL < CR) & (R > epsilon)
     if not keep.any():
         # inconsistent flanking posteriors: fall back to the called boundaries
-        CL = np.array([segs[seg_idx][0] - 1], dtype=np.int64)
-        CR = np.array([segs[seg_idx][1]], dtype=np.int64)
+        CL = np.array([start - 1], dtype=np.int64)
+        CR = np.array([end], dtype=np.int64)
         W = np.ones(1)
     else:
         CL, CR, W = CL[keep], CR[keep], W[keep]
@@ -429,22 +414,24 @@ def ci_band(
     segs = segment_bounds(taus, m)
     grid = np.unique(process.W) if grid is None else np.asarray(grid, dtype=np.int64)
 
-    boundaries = []
-    for k in range(1, len(segs)):
-        window_lo = segs[k - 1][0]
-        window_hi = segs[k][1]
-        boundaries.append(
-            _BoundaryPosterior(process, segs[k][0], window_lo, window_hi, alpha, beta, epsilon)
-        )
+    # each called boundary varies over the two segments it separates; a chromosome
+    # end is a boundary with one certain candidate, split 0 or m
+    inner = [_boundary_posterior(process, lo, hi, alpha, beta, epsilon)
+             for (lo, _), (_, hi) in zip(segs, segs[1:])]
+    certain = (np.ones(1), np.ones(1), False)
+    boundaries = [(np.array([0]), *certain), *inner, (np.array([m]), *certain)]
     log.debug(
         "MAX_BOUNDARY_CANDIDATES=%d truncated %d of %d boundary posteriors",
-        MAX_BOUNDARY_CANDIDATES, sum(bp.truncated for bp in boundaries), len(boundaries),
+        MAX_BOUNDARY_CANDIDATES, sum(bp[3] for bp in inner), len(inner),
     )
 
     # read index of the last read at or before each grid position
     t_of_grid = np.clip(np.searchsorted(process.W, grid, side="right"), 1, m)
     seg_starts = np.array([s for s, _ in segs], dtype=np.int64)
     seg_of_t = np.searchsorted(seg_starts, t_of_grid, side="right") - 1
+    # first read of each segment's predecessor and last read of its successor
+    prev_starts = [1] + [s for s, _ in segs]
+    next_ends = [e for _, e in segs] + [m]
 
     q_lo = (1.0 - level) / 2.0
     q_hi = 1.0 - q_lo
@@ -459,15 +446,16 @@ def ci_band(
         n_seg = end - start + 1
         p_hat = process.case_count(start, end) / n_seg
         point[sel] = p_hat
-        left = boundaries[k - 1] if k >= 1 else None
-        right = boundaries[k] if k < len(boundaries) else None
-        pairs = _segment_mixture_pairs(process, k, segs, left, right, alpha, beta, epsilon)
+        pairs = _segment_mixture_pairs(
+            process, (prev_starts[k], start, end, next_ends[k + 1]), boundaries[k],
+            boundaries[k + 1], alpha, beta, epsilon,
+        )
         # the class mixture changes only where t crosses a candidate boundary:
-        # one block per distinct (CL rank, CR rank), in ascending position order
-        rank_cl = np.searchsorted(np.sort(pairs["CL"]), t_of_grid[sel])
-        rank_cr = np.searchsorted(np.sort(pairs["CR"]), t_of_grid[sel])
-        key = rank_cl * (pairs["CR"].size + 1) + rank_cr
-        _, first, block = np.unique(key, return_index=True, return_inverse=True)
+        # one block per run of reads between consecutive distinct candidates
+        cuts = np.union1d(pairs["CL"], pairs["CR"])
+        _, first, block = np.unique(
+            np.searchsorted(cuts, t_of_grid[sel]), return_index=True, return_inverse=True
+        )
         ab = pairs["comp_ab"]
         weights = _block_weights(pairs, t_of_grid[sel[first]])
         bounds = _mixture_quantiles(weights, ab[:, 0], ab[:, 1], (q_lo, q_hi))

@@ -18,6 +18,10 @@ class InputError(ValueError):
     """Raised for malformed user input (files, labels, parameters)."""
 
 
+# largest accepted read position: positions and sums of a few stay exact as float64
+MAX_POSITION = 10**15
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -229,8 +233,8 @@ def read_positions(path, label_mode: bool = False) -> dict:
     table: dict = {}
     for lineno, parts in read_tsv_rows(path, columns, int_columns=("position",)):
         chrom, pos = parts[0], parts[1]
-        if pos < 0:
-            raise InputError(f"{path}:{lineno}: negative position {pos}")
+        if not 0 <= pos <= MAX_POSITION:
+            raise InputError(f"{path}:{lineno}: position {pos} outside [0, {MAX_POSITION}]")
         if label_mode:
             lab = parts[2]
             if lab not in ("case", "control"):

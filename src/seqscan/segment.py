@@ -185,8 +185,6 @@ def _level_pairs(lo: int, hi: int, width_cap: int, width_floor: int, g: int):
         if hi - d >= lo:
             out_I.append(np.array([hi - d], dtype=np.int64))
             out_J.append(np.array([hi], dtype=np.int64))
-    if not out_I:
-        return None
     return np.concatenate(out_I), np.concatenate(out_J)
 
 
@@ -264,10 +262,9 @@ def iterative_grid_scan(
         raise ValueError("grid_step must be >= 2")
     _check_region(process, lo, hi)
     n = hi - lo + 1
-    if n < 2:
-        return ScanResult(best=None, objective=float("-inf"))
     plan = _ladder_plan(n, G)
     # the grid degenerates to all pairs whenever it would cost as much anyway
+    # (and exhaustive_scan returns the empty result for a region of one read)
     if n <= 3 * G or _grid_work_estimate(n, G, plan) >= n * (n + 1) // 2:
         return exhaustive_scan(process, stat_kind, lo, hi)
 
@@ -286,19 +283,12 @@ def iterative_grid_scan(
     level_best.append((small, 1))
 
     for w, floor, g in plan:
-        pairs = _level_pairs(lo, hi, w, floor, g)
-        if pairs is None:
-            continue
-        I, J = pairs
+        I, J = _level_pairs(lo, hi, w, floor, g)
         v = kernel.objective(I, J)
         for cand in _argbest_diverse(I, J, v, k=3, radius=max(2 * g, w // 4)):
             level_best.append((cand, g))
 
-    refined: list[tuple] = []
-    for cand, spacing in level_best:
-        if cand is None:
-            continue
-        refined.append(_refine(kernel, lo, hi, cand, spacing, G))
+    refined = [_refine(kernel, lo, hi, cand, spacing, G) for cand, spacing in level_best]
     refined.sort(key=lambda c: (-c[2], c[0], c[1]))
     # the full-range seed catches argmaxes hugging both region edges
     refined.append((lo, hi, float(kernel.objective(np.array([lo]), np.array([hi]))[0])))

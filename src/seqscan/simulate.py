@@ -18,6 +18,8 @@ from .process import InputError, ReadSet
 
 GAIN = 1.5
 LOSS = 0.5
+# baselines hold one float per bin: more bins than this are refused before allocation
+MAX_BINS = 10**8
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,12 @@ def _gaussian_kernel(bandwidth: float) -> np.ndarray:
     return k / k.sum()
 
 
+def _check_bins(n_bins: int) -> int:
+    if n_bins > MAX_BINS:
+        raise InputError(f"the baseline would need {n_bins} bins, more than {MAX_BINS}")
+    return n_bins
+
+
 def estimate_baseline(control: ReadSet, bin_width: int = 1000, bandwidth: float = 10.0) -> IntensityFunction:
     """Kernel-smoothed binned read counts as a baseline intensity.
 
@@ -81,18 +89,11 @@ def estimate_baseline(control: ReadSet, bin_width: int = 1000, bandwidth: float 
         raise InputError("bandwidth must be positive")
     pos = control.positions
     origin = int(pos[0] // bin_width) * bin_width
-    n_bins = int((pos[-1] - origin) // bin_width) + 1
+    n_bins = _check_bins(int((pos[-1] - origin) // bin_width) + 1)
     counts = np.bincount((pos - origin) // bin_width, minlength=n_bins).astype(np.float64)
     smooth = np.convolve(counts, _gaussian_kernel(bandwidth), mode="same")
     smooth *= counts.sum() / smooth.sum()
     return IntensityFunction(origin=origin, bin_width=bin_width, values=smooth)
-
-
-def _draw_length(rng: np.random.Generator, law) -> int:
-    lo, hi = law
-    if not (0 < lo <= hi):
-        raise InputError(f"invalid segment length range: {law}")
-    return int(round(np.exp(rng.uniform(np.log(lo), np.log(hi)))))
 
 
 def spike_in(
@@ -101,20 +102,21 @@ def spike_in(
     length_law: tuple[float, float] = (2e5, 5e5),
     multipliers=(GAIN, LOSS),
     seed: int = 0,
-    max_tries: int = 1000,
     effects=None,
     length_laws=None,
     min_gap_bp: int = 0,
 ):
     """Multiply the baseline inside disjoint random segments.
 
-    Segment lengths are log-uniform over ``length_law`` (base pairs);
-    placements are uniform and rejection-sampled to disjointness, keeping at
-    least ``min_gap_bp`` between segments.  Each segment's effect is sampled
-    from ``multipliers`` unless ``effects`` assigns one per segment
-    explicitly; ``length_laws`` likewise overrides ``length_law`` with one
-    (lo, hi) range per segment.  Returns the case intensity and the ground
-    truth.
+    Segment lengths are log-uniform over ``length_law`` (bp, rounded), or over
+    one (lo, hi) per segment from ``length_laws``; effects are sampled from
+    ``multipliers`` unless ``effects`` lists one per segment.  The segments
+    are laid out in random order, and the span left beyond their lengths and
+    ``min_gap_bp`` before, between and after them is split into those n + 1
+    gaps by uniform spacings: every layout that fits can be drawn, none is
+    retried.  A layout that does not fit raises ``InputError``, before any
+    draw when even the shortest lengths do not.  Returns the case intensity
+    and the ground truth.
     """
     if n_segments < 1:
         raise InputError("n_segments must be >= 1")
@@ -122,42 +124,48 @@ def spike_in(
         raise InputError(f"effects must list {n_segments} multipliers")
     if length_laws is not None and len(length_laws) != n_segments:
         raise InputError(f"length_laws must list {n_segments} ranges")
-    rng = np.random.default_rng(seed)
+    laws = np.asarray(length_law if length_laws is None else length_laws, dtype=np.float64)
+    lo, hi = np.broadcast_to(laws, (n_segments, 2)).T
+    if not np.all((1 <= lo) & (lo <= hi)):
+        raise InputError(f"segment length ranges must satisfy 1 <= lo <= hi, got {laws.tolist()}")
     span = baseline.end - baseline.origin
-    placed: list[tuple[int, int]] = []
-    mults: list[float] = []
     gap = int(min_gap_bp)
-    for k in range(n_segments):
-        length = _draw_length(rng, length_laws[k] if length_laws is not None else length_law)
-        if length >= span:
-            raise InputError(f"segment length {length} does not fit the baseline span {span}")
-        for attempt in range(max_tries):
-            start = int(baseline.origin + rng.integers(0, span - length))
-            end = start + length
-            if all(end + gap <= s or start >= e + gap for s, e in placed):
-                placed.append((start, end))
-                mults.append(
-                    float(effects[k]) if effects is not None else float(rng.choice(multipliers))
-                )
-                break
-        else:
+
+    def check_fits(total, qualifier=""):
+        if total + (n_segments + 1) * gap > span:
             raise InputError(
-                f"could not place {n_segments} disjoint segments after {max_tries} tries"
+                f"{n_segments} segments of {qualifier}{total:.0f} bp in total with "
+                f"{n_segments + 1} gaps of {gap} bp do not fit the span of {span} bp"
             )
 
-    order = np.argsort([s for s, _ in placed])
-    segments = [placed[k] for k in order]
-    mult_arr = np.array([mults[k] for k in order])
+    check_fits(np.floor(lo).sum(), "at least ")
+    rng = np.random.default_rng(seed)
+    lengths = np.rint(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+    check_fits(lengths.sum())
+    lengths = lengths.astype(np.int64)
+    mults = (np.asarray(effects, dtype=np.float64) if effects is not None
+             else rng.choice(np.asarray(multipliers, dtype=np.float64), size=n_segments))
+    order = rng.permutation(n_segments)
+    lengths, mults = lengths[order], mults[order]
+    # uniform spacings: normalized exponential draws split the slack into n + 1 gaps
+    slack = span - int(lengths.sum()) - (n_segments + 1) * gap
+    spacing = rng.standard_exponential(n_segments + 1).cumsum()
+    before = np.floor(slack * (spacing[:-1] / spacing[-1])).astype(np.int64)
+    starts = (baseline.origin + before + gap * np.arange(1, n_segments + 1)
+              + np.cumsum(lengths) - lengths)
+    ends = starts + lengths
 
+    # every bin whose center lies in a segment takes that segment's effect
     values = baseline.values.copy()
     edges = baseline.origin + baseline.bin_width * np.arange(values.size + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    for (start, end), mult in zip(segments, mult_arr):
-        inside = (centers >= start) & (centers < end)
-        values[inside] *= mult
+    seg = np.searchsorted(starts, centers, side="right") - 1
+    inside = (seg >= 0) & (centers < ends[seg])
+    values[inside] *= mults[seg[inside]]
 
-    breakpoints = np.sort(np.array([b for seg in segments for b in seg], dtype=np.int64))
-    truth = SpikeInTruth(breakpoints=breakpoints, segments=segments, multipliers=mult_arr)
+    segments = list(zip(starts.tolist(), ends.tolist()))
+    breakpoints = np.stack([starts, ends], axis=1).ravel()
+    truth = SpikeInTruth(breakpoints=breakpoints, segments=segments, multipliers=mults)
     return IntensityFunction(baseline.origin, baseline.bin_width, values), truth
 
 
@@ -195,7 +203,7 @@ def sine_baseline(
     """Synthetic inhomogeneous baseline: a sinusoid-modulated flat rate."""
     if not (0 <= depth < 1):
         raise InputError("modulation depth must be in [0, 1)")
-    n_bins = span_bp // bin_width
+    n_bins = _check_bins(span_bp // bin_width)
     centers = origin + bin_width * (np.arange(n_bins) + 0.5)
     values = 1.0 + depth * np.sin(2.0 * np.pi * centers / period_bp)
     return IntensityFunction(origin=origin, bin_width=bin_width, values=values)

@@ -118,8 +118,16 @@ class TestSegmentCommand:
         "binary_case_file", "non_integer_calls_index", "bin_width_zero", "sine_period_zero",
         "seed_negative", "out_dir_not_creatable", "alpha_nan", "n_segments_negative",
         "tolerance_reads_negative", "reads_with_case", "max_k_not_integer", "mbic_curve_alpha",
+        "calls_index_above_m", "calls_index_above_m_bp", "calls_index_below_one",
+        "calls_index_below_one_bp", "reads_above_bound", "huge_reads", "n_segments_above_bound",
+        "min_seg_bp_below_one", "span_bins_above_bound", "control_bins_above_bound",
+        "span_bp_above_max_position", "case_position_above_max", "layout_cannot_fit",
     ])
-    def test_input_error_exit_code(self, tmp_path, capsys, mistake):
+    def test_input_error_exit_code(self, tmp_path, capsys, monkeypatch, mistake):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("reads were sampled before the mistake was reported")
+
+        monkeypatch.setattr(cli, "sample_nhpp", no_sampling)
         case, control = tmp_path / "case.tsv", tmp_path / "control.tsv"
         write_reads(case, range(0, 400, 2))
         write_reads(control, range(1, 400, 2))
@@ -130,6 +138,15 @@ class TestSegmentCommand:
         (tmp_path / "truth.tsv").write_text("chr1\t100\t200\t1.5\n")
         (tmp_path / "calls.tsv").write_text("chr1\t0\t399\t1\t400\t200\t200\t0.5\t1\n")
         (tmp_path / "bad_calls.tsv").write_text("chr1\t0\t399\tone\t400\t200\t200\t0.5\t1\n")
+        # start_idx beyond the 400 merged reads, and at or below 0
+        (tmp_path / "over_calls.tsv").write_text(
+            "chr1\t0\t199\t1\t899\t0\t0\t0.5\t1\nchr1\t200\t399\t900\t901\t0\t0\t0.5\t1\n"
+        )
+        (tmp_path / "under_calls.tsv").write_text(
+            "chr1\t0\t199\t-5\t-1\t0\t0\t0.5\t1\nchr1\t200\t399\t0\t400\t0\t0\t0.5\t1\n"
+        )
+        write_reads(tmp_path / "far.tsv", [0, 10**11])  # 10**8 + 1 bins of 1 kb
+        write_reads(tmp_path / "beyond.tsv", [5, 10**15 + 1])
         out = tmp_path / "out"
         pair = ["--case", str(case), "--control", str(control)]
         segment = ["segment", *pair, "--out-dir", str(out)]
@@ -153,6 +170,23 @@ class TestSegmentCommand:
             "reads_with_case": segment + ["--reads", str(tmp_path / "reads.tsv")],
             "max_k_not_integer": segment + ["--max-k", "abc"],
             "mbic_curve_alpha": ["mbic-curve", *pair, "--out-dir", str(out), "--alpha", "7"],
+            "calls_index_above_m": evaluate + ["--calls", str(tmp_path / "over_calls.tsv")],
+            "calls_index_above_m_bp": evaluate + ["--calls", str(tmp_path / "over_calls.tsv"),
+                                                  "--tolerance-bp", "50"],
+            "calls_index_below_one": evaluate + ["--calls", str(tmp_path / "under_calls.tsv")],
+            "calls_index_below_one_bp": evaluate + ["--calls", str(tmp_path / "under_calls.tsv"),
+                                                    "--tolerance-bp", "50"],
+            "reads_above_bound": simulate + ["--reads", str(10**9 + 1)],
+            "huge_reads": simulate + ["--reads", str(10**36)],
+            "n_segments_above_bound": simulate + ["--n-segments", str(10**5 + 1)],
+            "min_seg_bp_below_one": simulate + ["--n-segments", "1", "--min-seg-bp", "0.99",
+                                                "--max-seg-bp", "2"],
+            "span_bins_above_bound": simulate + ["--span-bp", str((10**8 + 1) * 1000)],
+            "control_bins_above_bound": simulate + ["--control", str(tmp_path / "far.tsv")],
+            "span_bp_above_max_position": simulate + ["--span-bp", str(10**15 + 1),
+                                                      "--bin-width", str(10**12)],
+            "case_position_above_max": segment + ["--case", str(tmp_path / "beyond.tsv")],
+            "layout_cannot_fit": simulate + ["--n-segments", str(10**5)],
         }[mistake]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err.splitlines()
@@ -312,6 +346,14 @@ class TestSimulateCommand:
         _, rows = read_tsv(out / "truth.tsv")
         assert rows == []
         assert (out / "case.tsv").exists() and (out / "control.tsv").exists()
+
+    def test_dense_default_layout(self, tmp_path):
+        # 120 segments of 0.2-0.5 Mb fill about 39 of the default 50 Mb
+        out = tmp_path / "sim"
+        rc = cli.main(["simulate", "--out-dir", str(out), "--n-segments", "120", "--reads", "500"])
+        assert rc == 0
+        _, rows = read_tsv(out / "truth.tsv")
+        assert len(rows) == 120
 
     def test_different_seeds_differ(self, tmp_path):
         args = ["simulate", "--span-bp", "4000000", "--reads", "2000",
@@ -479,6 +521,83 @@ def test_flag_fuzz_exits_zero_or_two_with_one_line(tmp_path, capsys):
             argv += [other, data.draw(st.sampled_from(boundary[command][other]))]
         if command == "simulate" and data.draw(st.booleans()):
             argv += ["--control", str(control)]
+        rc = cli.main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 0 or (rc == 2 and len(err) == 1 and err[0].startswith("seqscan: error: ")), (
+            argv, rc, err)
+
+    run()
+
+
+CHROMS = st.sampled_from(["chr1", "chr2"])
+POSITIONS = st.integers(0, 3000).map(str)
+# the fields of one valid row of each input file, by the flag that names it
+ROW_FIELDS = {
+    "--case": st.tuples(CHROMS, POSITIONS),
+    "--control": st.tuples(CHROMS, POSITIONS),
+    "--reads": st.tuples(CHROMS, POSITIONS, st.sampled_from(["case", "control"])),
+    "--truth": st.tuples(CHROMS, POSITIONS, POSITIONS, st.just("1.5")),
+    "--calls": st.tuples(CHROMS, POSITIONS, POSITIONS, st.integers(-2, 320).map(str),
+                         st.integers(0, 320).map(str), st.just("0"), st.just("0"),
+                         st.just("0.5"), st.just("1")),
+}
+# one field replaced by one of these: non-integer, negative, too large, unknown label, empty
+BAD_FIELDS = ["x", "1.5", "-4", str(10**16), "tumor", ""]
+ROW_DEFECTS = ("truncated_row", "extra_column", "bad_field")
+DEFECTS = [*ROW_DEFECTS, "empty_file", "non_utf8"]
+
+
+@st.composite
+def input_file(draw, flag, defect):
+    """Bytes of one input file: valid rows in any order, '#' and blank lines, and the defect."""
+    min_rows = 1 if defect in ROW_DEFECTS else 0
+    rows = [list(r) for r in draw(st.lists(ROW_FIELDS[flag], min_size=min_rows, max_size=150))]
+    if defect in ROW_DEFECTS:
+        row = draw(st.sampled_from(rows))
+        if defect == "truncated_row":
+            del row[draw(st.integers(1, len(row) - 1)):]
+        elif defect == "extra_column":
+            row.append(draw(st.sampled_from(["", "x", "9"])))
+        else:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(BAD_FIELDS))
+    lines = ["\t".join(r) for r in rows]
+    for extra in draw(st.lists(st.sampled_from(["", "#note", "#chrom\tposition"]), max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    data = "".join(line + "\n" for line in lines).encode()
+    if defect == "empty_file":
+        return b""
+    if defect == "non_utf8":
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + b"\xff\xfe" + data[at:]
+    return data
+
+
+def test_file_fuzz_exits_zero_or_two_with_one_line(tmp_path, capsys):
+    commands = {
+        "segment": [["--case", "--control"], ["--reads"]],
+        "mbic-curve": [["--case", "--control"], ["--reads"]],
+        "evaluate": [["--case", "--control", "--truth", "--calls"]],
+    }
+    runs = itertools.count()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def run(data):
+        command = data.draw(st.sampled_from(sorted(commands)))
+        flags = data.draw(st.sampled_from(commands[command]))
+        # at most one file is malformed, so that most runs get past the parsers
+        target = data.draw(st.sampled_from([None, *flags]))
+        n = next(runs)
+        argv = [command, "--out-dir", str(tmp_path / f"out{n}")]
+        for flag in flags:
+            defect = data.draw(st.sampled_from(DEFECTS)) if flag == target else None
+            path = tmp_path / f"{n}{flag}.tsv"
+            path.write_bytes(data.draw(input_file(flag, defect)))
+            argv += [flag, str(path)]
+        if command != "evaluate":
+            argv += ["--max-k", "4"]
+        elif data.draw(st.booleans()):
+            argv += ["--tolerance-bp", "50"]
         rc = cli.main(argv)
         err = capsys.readouterr().err.splitlines()
         assert rc == 0 or (rc == 2 and len(err) == 1 and err[0].startswith("seqscan: error: ")), (

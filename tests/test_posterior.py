@@ -18,7 +18,7 @@ from seqscan import (
     posterior_weights,
 )
 from seqscan import posterior
-from seqscan.posterior import _BoundaryPosterior, _segment_mixture_pairs
+from seqscan.posterior import _boundary_posterior, _segment_mixture_pairs
 from seqscan.process import segment_bounds
 
 from conftest import bernoulli_process, proc_from_z
@@ -306,10 +306,13 @@ def test_every_band_bound_meets_cdf_tolerance(caplog):
     level, epsilon = 0.9, 1e-4
     segs = segment_bounds(taus, proc.m)
     boundaries = [
-        _BoundaryPosterior(proc, segs[k][0], segs[k - 1][0], segs[k][1], 1.0, 1.0, epsilon)
+        _boundary_posterior(proc, segs[k - 1][0], segs[k][1], 1.0, 1.0, epsilon)
         for k in range(1, len(segs))
     ]
-    assert all(bp.truncated for bp in boundaries)
+    assert all(truncated for *_, truncated in boundaries)
+    # the chromosome ends: one certain candidate each
+    ends = [(np.array([split]), np.ones(1), np.ones(1), False) for split in (0, proc.m)]
+    boundaries = [ends[0], *boundaries, ends[1]]
 
     with caplog.at_level(logging.DEBUG, logger="seqscan.posterior"):
         band = ci_band(proc, taus, level=level, epsilon=epsilon)
@@ -318,9 +321,12 @@ def test_every_band_bound_meets_cdf_tolerance(caplog):
     q_hi = 1.0 - q_lo
     blocks = 0
     for k, (start, end) in enumerate(segs):
-        left = boundaries[k - 1] if k >= 1 else None
-        right = boundaries[k] if k < len(boundaries) else None
-        pairs = _segment_mixture_pairs(proc, k, segs, left, right, 1.0, 1.0, epsilon)
+        prev_start = segs[k - 1][0] if k else 1
+        next_end = segs[k + 1][1] if k + 1 < len(segs) else proc.m
+        pairs = _segment_mixture_pairs(
+            proc, (prev_start, start, end, next_end), boundaries[k], boundaries[k + 1],
+            1.0, 1.0, epsilon,
+        )
         seen = set()
         for t in range(start, end + 1):
             # the mixture depends on t only through which pairs t falls left or right of

@@ -101,7 +101,63 @@ class TestSpikeIn:
 
     def test_impossible_placement_raises(self):
         with pytest.raises(InputError):
-            spike_in(flat_intensity(100), 50, length_law=(9e4, 9e4), seed=7, max_tries=50)
+            spike_in(flat_intensity(100), 50, length_law=(9e4, 9e4), seed=7)
+
+    def test_layout_rejected_before_drawing_when_shortest_lengths_do_not_fit(self, monkeypatch):
+        def no_draws(seed):
+            raise AssertionError("spike_in drew random numbers for a layout that cannot fit")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(InputError, match="at least 10000000 bp in total"):
+            spike_in(flat_intensity(), 100, length_law=(1e5, 2e5), min_gap_bp=1)
+
+    def test_drawn_lengths_that_do_not_fit_raise(self):
+        # the shortest lengths fit the 10 Mb span, lengths near the top of the range do not
+        with pytest.raises(InputError, match="do not fit the span of 10000000 bp"):
+            spike_in(flat_intensity(), 40, length_law=(1e5, 1e7), seed=1)
+
+    def test_layout_without_slack_is_placed(self):
+        # four 1 Mb segments and five 1.2 Mb gaps fill the 10 Mb span exactly
+        _, truth = spike_in(flat_intensity(), 4, length_law=(1e6, 1e6), min_gap_bp=1_200_000)
+        assert truth.segments == [(1_200_000 + k * 2_200_000, 2_200_000 + k * 2_200_000)
+                                  for k in range(4)]
+
+    def test_c7_geometry_is_placed(self):
+        # the spike-in experiment of the acceptance suite: 3 gains and 47 losses
+        # with 1.88 Mb around every segment, chromosome ends included, on 150 Mb
+        span, gap = 150_000_000, 1_880_000
+        effects = np.array([GAIN] * 3 + [LOSS] * 47)
+        np.random.default_rng(0).shuffle(effects)
+        law_of = {GAIN: (1.6e6, 1.9e6), LOSS: (8.8e5, 9.8e5)}
+        laws = [law_of[mu] for mu in effects]
+        base = sine_baseline(span_bp=span, bin_width=1000, depth=0.12)
+        for seed in range(3):
+            _, truth = spike_in(base, 50, effects=effects, length_laws=laws, seed=seed,
+                                min_gap_bp=gap)
+            assert truth.n_segments == 50
+            assert sorted(truth.multipliers.tolist()) == sorted(effects.tolist())
+            edges = [0] + truth.breakpoints.tolist() + [span]
+            assert np.all(np.diff(edges)[::2] >= gap)
+            for (s, e), mu in zip(truth.segments, truth.multipliers):
+                lo, hi = law_of[mu]
+                assert round(lo) <= e - s <= round(hi)
+
+    def test_single_segment_start_fills_every_decile(self):
+        # bound stated before counting: the start of a 300 kb segment on a 1 Mb span is
+        # uniform over the 700,001 starts that fit, so each tenth of that range holds
+        # 200 of 2,000 seeds on average (sd 13.4); every decile must hold 140 to 260
+        base = flat_intensity(n_bins=1000)
+        starts = [spike_in(base, 1, length_law=(3e5, 3e5), seed=seed)[1].segments[0][0]
+                  for seed in range(2000)]
+        assert min(starts) >= 0 and max(starts) <= 700_000
+        counts = np.bincount(np.minimum(np.array(starts) * 10 // 700_001, 9), minlength=10)
+        assert counts.min() >= 140 and counts.max() <= 260, counts
+
+    def test_segments_sorted_and_breakpoints_aligned(self):
+        _, truth = spike_in(flat_intensity(), 12, length_law=(1e5, 4e5), seed=9,
+                            min_gap_bp=10_000)
+        assert truth.breakpoints.tolist() == [b for seg in truth.segments for b in seg]
+        assert np.all(np.diff(truth.breakpoints) > 0)
 
 
 class TestSampleNhpp:
