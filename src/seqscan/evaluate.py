@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .process import CombinedProcess
 
@@ -49,6 +48,9 @@ def match_changepoints(called, truth, tolerance_reads: int = 100) -> MatchReport
     precision = matched/|called| (1 when both sides are empty, 0 for an
     empty call set against a non-empty truth).
     """
+    # imported here: scipy.optimize loads scipy.linalg, which every other command can skip
+    from scipy.optimize import linear_sum_assignment
+
     called = sorted(int(c) for c in called)
     truth = sorted(int(t) for t in truth)
     nc, nt = len(called), len(truth)

@@ -163,16 +163,73 @@ def posterior_at(
 # a quantile x of level q is done once the mixture CDF satisfies |F(x) - q| <= this
 QUANTILE_TOL = 1e-8
 _MAX_STEPS = 200
-# betainc matrix entries (quantiles x components) per batch: bounds the solver's memory
+# CDF matrix entries (quantiles x components) per batch: bounds the solver's memory
 _BATCH_ENTRIES = 1 << 18
-# a larger log density only shortens a Newton step; capping it keeps exp finite
-# when a shape parameter below 1 meets an x near 0 or 1
+# a larger density only shortens a Newton step; capping the log of 1 / (x (1 - x))
+# keeps the density finite when x is near 0 or 1
 _LOG_PDF_CAP = 600.0
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _TINY = np.nextafter(0.0, 1.0)
+_EPS = np.finfo(np.float64).eps
 
 
-def _newton_quantiles(weights, a, b, levels):
+def _chains(a, b):
+    """Chains of a component table: which Beta CDFs ``_chained_cdf`` gets from betainc.
+
+    Component j continues the chain of component j - 1 when it has the same a
+    and a b one higher.  Along a chain the contiguous recurrence (DLMF 8.17.21)
+    I_x(a, b + 1) = I_x(a, b) + x^a (1 - x)^b / (b B(a, b)) gives every CDF from
+    the chain's first component, its root.  A link's term is exp of an exponent
+    whose rounding error grows with the size
+    c = |log Gamma(a)| + |log Gamma(b)| + |log Gamma(a + b)| + |log b| of the terms
+    that make up its log normalizer log(b B(a, b)).  Over a table of n components
+    the chained CDFs then differ from the exact ones by at most their root's
+    betainc error plus 4 eps (n + 4 max c).  A component whose link alone could
+    spend a tenth of QUANTILE_TOL starts a chain of its own, as does every
+    component of a table without chains, whose CDFs are then betainc's.
+    Returns log B(a, b), the root indices, the factor 1 / b of each link's
+    term (0 before a root) and the error bound.
+    """
+    log_norm = betaln(a, b)
+    a0, b0 = a[:-1], b[:-1]
+    size = (np.abs(gammaln(a0)) + np.abs(gammaln(b0)) + np.abs(gammaln(a0 + b0))
+            + np.abs(np.log(b0)))
+    link = (a[1:] == a0) & (b[1:] == b0 + 1.0) & (16.0 * _EPS * size <= QUANTILE_TOL / 10)
+    roots = np.flatnonzero(np.concatenate([[True], ~link]))
+    scale = np.where(link, 1.0 / b0, 0.0)
+    bound = 4.0 * _EPS * (a.size + 4.0 * size[link].max()) if link.any() else 0.0
+    return {"log_norm": log_norm, "roots": roots, "scale": scale, "bound": bound}
+
+
+def _chained_cdf(a, b, chains, x):
+    """Beta CDFs I_x(a, b) of every component (columns) at every x (rows), by chains.
+
+    Also returns x^a (1 - x)^b / B(a, b), which is x (1 - x) times each
+    component's density.  betainc runs at the chain roots only; every other
+    component adds one term to its predecessor's CDF.
+    """
+    roots = chains["roots"]
+    with np.errstate(divide="ignore"):
+        lx, l1x = np.log(x)[:, None], np.log1p(-x)[:, None]
+    g = lx * a
+    g += l1x * b
+    g -= chains["log_norm"]
+    np.exp(g, out=g)
+    cdf = np.empty_like(g)
+    cdf[:, 0] = 0.0
+    np.multiply(g[:, :-1], chains["scale"], out=cdf[:, 1:])
+    at_root = betainc(a[roots], b[roots], x[:, None])
+    # one running sum along the table, which at each root steps from the end of
+    # the previous chain (its root plus its terms) to the root's betainc
+    jump = at_root.copy()
+    jump[:, 1:] -= at_root[:, :-1] + np.add.reduceat(cdf, roots, axis=1)[:, :-1]
+    cdf[:, roots] = jump
+    np.cumsum(cdf, axis=1, out=cdf)
+    cdf[:, roots] = at_root
+    return np.clip(cdf, 0.0, 1.0, out=cdf), g
+
+
+def _newton_quantiles(weights, a, b, levels, chains):
     """One batch of ``_mixture_quantiles``: the quantiles and how many missed the tolerance."""
     n_rows = weights.shape[0]
     row = np.repeat(np.arange(n_rows), levels.size)
@@ -190,31 +247,34 @@ def _newton_quantiles(weights, a, b, levels):
     err_lo = -q
     err_hi = 1.0 - q
     out = np.empty_like(x)
-    log_norm = betaln(a, b)
+    # past its roots' own betainc error the chained F lies within the chains' bound
+    # of the exact F, so accepting it at the smaller tolerance keeps |F - q| <= QUANTILE_TOL
+    tol = QUANTILE_TOL - chains["bound"]
     act = np.arange(x.size)
     drops = np.zeros(x.size, dtype=np.int64)  # bisections spent at a lower end of 0
     missed = 0
     for _ in range(_MAX_STEPS):
         xa = x[act]
         w = weights[row[act]]
-        err = np.einsum("kc,kc->k", w, betainc(a, b, xa[:, None])) - q[act]
+        cdf, scaled_pdf = _chained_cdf(a, b, chains, xa)
+        err = np.einsum("kc,kc->k", w, cdf) - q[act]
+        dens = np.einsum("kc,kc->k", w, scaled_pdf)  # x (1 - x) times the density
         below, above = err < 0, err > 0
         lo[act] = np.where(below, xa, lo[act])
         err_lo[act] = np.where(below, err, err_lo[act])
         hi[act] = np.where(above, xa, hi[act])
         err_hi[act] = np.where(above, err, err_hi[act])
-        met = np.abs(err) <= QUANTILE_TOL
+        met = np.abs(err) <= tol
         out[act[met]] = xa[met]
         # no double lies strictly inside the bracket: no x meets the tolerance
         stuck = ~met & (hi[act] <= np.nextafter(lo[act], 1.0))
         missed += int(stuck.sum())
         out[act[stuck]] = _nearer_end(act[stuck], lo, hi, err_lo, err_hi)
         keep = ~(met | stuck)
-        act, xa, w, err = act[keep], xa[keep], w[keep], err[keep]
+        act, xa, err, dens = act[keep], xa[keep], err[keep], dens[keep]
         if act.size == 0:
             break
-        log_pdf = (a - 1.0) * np.log(xa)[:, None] + (b - 1.0) * np.log1p(-xa)[:, None] - log_norm
-        dens = np.einsum("kc,kc->k", w, np.exp(np.minimum(log_pdf, _LOG_PDF_CAP)))
+        dens *= np.exp(np.minimum(-np.log(xa) - np.log1p(-xa), _LOG_PDF_CAP))
         # Newton's step on ndtri(F(x)) = ndtri(q), nearly linear in x wherever the
         # mixture is nearly normal.  It is taken where it lands strictly inside
         # the bracket, else the bracket is bisected; the bracket test runs before
@@ -254,24 +314,27 @@ def _mixture_quantiles(weights, a, b, levels) -> np.ndarray:
     result is that mixture's quantile at ``levels[j]``.  All quantiles are
     solved together by a safeguarded Newton method on the exact mixture CDF F
     (on the probit scale, ndtri(F(x)) = ndtri(q)), started from the
-    moment-matched normal quantile.  Each step evaluates F for every unfinished
-    quantile with one betainc call and the mixture density from betaln; a step
-    that would leave the quantile's bracket bisects it instead (see
-    ``_newton_quantiles`` for the lower tail).  A quantile is done once
-    |F(x) - q| <= QUANTILE_TOL.  Where no double meets that (F jumps across q
-    between two adjacent doubles) or the step limit ends the search, the
-    bracket end nearer to q is returned and a warning counts such quantiles.
-    Rows are solved in batches that bound the betainc matrix's size.
+    moment-matched normal quantile.  Each step evaluates F and the mixture
+    density for every unfinished quantile, with betainc at the table's chain
+    roots only (see ``_chains``); a step that would leave the quantile's bracket
+    bisects it instead (see ``_newton_quantiles`` for the lower tail).  A
+    quantile is done once the chained F is within QUANTILE_TOL minus the chains'
+    error bound of q, so that |F(x) - q| <= QUANTILE_TOL for the exact F.  Where
+    no double meets that (F jumps across q between two adjacent doubles) or the
+    step limit ends the search, the bracket end nearer to q is returned and a
+    warning counts such quantiles.  Rows are solved in batches that bound the
+    CDF matrix's size.
     """
     weights = np.asarray(weights, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     levels = np.asarray(levels, dtype=np.float64)
+    chains = _chains(a, b)
     out = np.empty((weights.shape[0], levels.size))
     missed = 0
     per = max(1, _BATCH_ENTRIES // (a.size * levels.size))
     for r0 in range(0, weights.shape[0], per):
-        out[r0 : r0 + per], n = _newton_quantiles(weights[r0 : r0 + per], a, b, levels)
+        out[r0 : r0 + per], n = _newton_quantiles(weights[r0 : r0 + per], a, b, levels, chains)
         missed += n
     if missed:
         log.warning(

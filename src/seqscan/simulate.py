@@ -61,9 +61,10 @@ class SpikeInTruth:
         return len(self.segments)
 
 
-def _gaussian_kernel(bandwidth: float) -> np.ndarray:
-    # truncated at 4 sigma and renormalized so interior mass is preserved
-    half = max(1, int(np.ceil(4.0 * bandwidth)))
+def _gaussian_kernel(bandwidth: float, n_bins: int) -> np.ndarray:
+    # truncated at 4 sigma, or where it would reach past every one of n_bins bins,
+    # and renormalized so interior mass is preserved
+    half = min(int(np.ceil(4.0 * bandwidth)), n_bins - 1)
     x = np.arange(-half, half + 1, dtype=np.float64)
     k = np.exp(-0.5 * (x / bandwidth) ** 2)
     return k / k.sum()
@@ -91,7 +92,11 @@ def estimate_baseline(control: ReadSet, bin_width: int = 1000, bandwidth: float 
     origin = int(pos[0] // bin_width) * bin_width
     n_bins = _check_bins(int((pos[-1] - origin) // bin_width) + 1)
     counts = np.bincount((pos - origin) // bin_width, minlength=n_bins).astype(np.float64)
-    smooth = np.convolve(counts, _gaussian_kernel(bandwidth), mode="same")
+    kernel = _gaussian_kernel(bandwidth, n_bins)
+    # the centered n_bins of the full convolution: mode="same" would return the
+    # kernel's length when the kernel is the longer of the two
+    half = kernel.size // 2
+    smooth = np.convolve(counts, kernel)[half : half + n_bins]
     smooth *= counts.sum() / smooth.sum()
     return IntensityFunction(origin=origin, bin_width=bin_width, values=smooth)
 

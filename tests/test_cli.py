@@ -375,6 +375,24 @@ class TestSimulateCommand:
         _, rows = read_tsv(out / "truth.tsv")
         assert len(rows) == 2
 
+    def test_huge_bandwidth_returns_at_once(self, tmp_path, capsys):
+        # a kernel of 8e9 taps would need 64 GB; capped at the control's 1,000 bins
+        write_reads(tmp_path / "real.tsv", np.arange(0, 1_000_000, 1000))
+        out = tmp_path / "sim"
+        rc = cli.main([
+            "simulate", "--out-dir", str(out), "--control", str(tmp_path / "real.tsv"),
+            "--reads", "2000", "--bandwidth", "1e9",
+        ])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 0 or (rc == 2 and len(err) == 1), (rc, err)
+        rc = cli.main([
+            "simulate", "--out-dir", str(out), "--control", str(tmp_path / "real.tsv"),
+            "--reads", "2000", "--bandwidth", "1e9", "--n-segments", "0",
+        ])
+        assert rc == 0
+        _, rows = read_tsv(out / "control.tsv")
+        assert max(int(r[1]) for r in rows) < 1_000_000
+
 
 class TestEvaluateCommand:
     def test_perfect_and_empty_calls(self, tmp_path):
@@ -472,6 +490,19 @@ SMALL_VALID = {
     "evaluate": {"--seed": "3", "--tolerance-reads": "10", "--tolerance-bp": "500",
                  "--replicate-id": "4"},
 }
+
+
+def test_cli_import_skips_scipy_optimize():
+    import subprocess
+    import sys
+
+    # the child imports the same seqscan as this process, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, seqscan.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.split() == ["False"]
 
 
 def test_flag_fuzz_exits_zero_or_two_with_one_line(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc
 from scipy.stats import beta as beta_dist
@@ -205,6 +205,72 @@ class TestMixtureQuantile:
             BetaMixture(weights=np.array([1.0]), a=np.array([0.0]), b=np.ones(1))
 
 
+PRIOR_SHAPES = [0.01, 0.5, 1.0, 3.0]
+
+
+@st.composite
+def chained_tables(draw):
+    """Beta(alpha + cases, beta + controls) tables made of 1-4 runs of 1-300 links each."""
+    alpha, beta = draw(st.sampled_from(PRIOR_SHAPES)), draw(st.sampled_from(PRIOR_SHAPES))
+    a, b = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        cases, controls = draw(st.integers(0, 10**5)), draw(st.integers(0, 10**5))
+        length = draw(st.integers(1, 300))
+        a += [alpha + cases] * length
+        b += [beta + controls + k for k in range(length)]
+    return np.array(a), np.array(b)
+
+
+@st.composite
+def cdf_points(draw, a, b):
+    """0, 1, the smallest and largest x that matter, drawn x and x near component means."""
+    near = [a[j] / (a[j] + b[j]) * draw(st.floats(0.98, 1.02))
+            for j in draw(st.lists(st.integers(0, a.size - 1), max_size=6))]
+    drawn = draw(st.lists(st.floats(0.0, 1.0), max_size=4))
+    return np.clip([0.0, 1.0, 1e-300, 1.0 - 2.0**-53, *near, *drawn], 0.0, 1.0)
+
+
+class TestChainedCdf:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_chains_match_betainc_within_bound(self, data):
+        a, b = data.draw(chained_tables())
+        x = data.draw(cdf_points(a, b))
+        chains = posterior._chains(a, b)
+        cdf, _ = posterior._chained_cdf(a, b, chains, x)
+        bound = chains["bound"]
+        # links whose error could exceed a tenth of the tolerance are not taken
+        assert bound <= 4 * np.finfo(float).eps * a.size + posterior.QUANTILE_TOL / 10
+        off = np.abs(cdf - betainc(a, b, x[:, None])) > bound
+        # betainc is itself off by up to 3e-9 in places (Beta(0.5, 0.5) at 1 - 2**-53),
+        # and a chain starts from its root's betainc.  Where the chain and betainc
+        # disagree by more than the bound, 40 digits decide, allowing the root's error
+        if off.any():
+            mpmath = pytest.importorskip("mpmath")
+
+            def exact(j, i):
+                with mpmath.workdps(40):
+                    return float(mpmath.betainc(a[j], b[j], 0, x[i], regularized=True))
+
+            roots = chains["roots"]
+            for i, j in zip(*np.nonzero(off)):
+                r = roots[np.searchsorted(roots, j, side="right") - 1]
+                root_err = abs(betainc(a[r], b[r], x[i]) - exact(r, i))
+                assert abs(cdf[i, j] - exact(j, i)) <= bound + root_err, (a[j], b[j], x[i])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.01, 1e5), st.floats(0.01, 1e5)), min_size=1,
+                    max_size=40), st.data())
+    def test_table_without_chains_is_betainc(self, shapes, data):
+        a, b = np.array(shapes).T
+        chains = posterior._chains(a, b)
+        assume(chains["roots"].size == a.size)
+        x = data.draw(cdf_points(a, b))
+        cdf, _ = posterior._chained_cdf(a, b, chains, x)
+        assert chains["bound"] == 0.0
+        assert np.array_equal(cdf, betainc(a, b, x[:, None]))
+
+
 class TestCiBand:
     def test_k0_exact_beta_and_constant(self):
         proc = bernoulli_process(0.5, 200, seed=3)
@@ -295,38 +361,32 @@ def reference_block_mixture(pairs, t):
     return BetaMixture(weights=w[keep] / w[keep].sum(), a=ab[:, 0], b=ab[:, 1])
 
 
-def test_every_band_bound_meets_cdf_tolerance(caplog):
-    # weak shifts leave every boundary posterior wider than the candidate cap
-    rng = np.random.default_rng(11)
-    p_vec = np.full(4000, 0.45)
-    p_vec[1300:2600] = 0.55
-    p_vec[2600:] = 0.48
-    proc = proc_from_z((rng.random(4000) < p_vec).astype(int))
-    taus = [1301, 2601]
-    level, epsilon = 0.9, 1e-4
+def assert_band_bounds_meet_cdf_tolerance(proc, taus, level, epsilon, alpha, beta):
+    """Check every band bound against its block's mixture with the scalar CDF.
+
+    Returns the block count, the boundary posteriors and each segment's pairs.
+    """
+    band = ci_band(proc, taus, level=level, epsilon=epsilon, alpha=alpha, beta=beta)
     segs = segment_bounds(taus, proc.m)
-    boundaries = [
-        _boundary_posterior(proc, segs[k - 1][0], segs[k][1], 1.0, 1.0, epsilon)
+    inner = [
+        _boundary_posterior(proc, segs[k - 1][0], segs[k][1], alpha, beta, epsilon)
         for k in range(1, len(segs))
     ]
-    assert all(truncated for *_, truncated in boundaries)
     # the chromosome ends: one certain candidate each
     ends = [(np.array([split]), np.ones(1), np.ones(1), False) for split in (0, proc.m)]
-    boundaries = [ends[0], *boundaries, ends[1]]
-
-    with caplog.at_level(logging.DEBUG, logger="seqscan.posterior"):
-        band = ci_band(proc, taus, level=level, epsilon=epsilon)
-    assert "truncated 2 of 2 boundary posteriors" in caplog.text
+    boundaries = [ends[0], *inner, ends[1]]
     q_lo = (1.0 - level) / 2.0
     q_hi = 1.0 - q_lo
     blocks = 0
+    tables = []
     for k, (start, end) in enumerate(segs):
         prev_start = segs[k - 1][0] if k else 1
         next_end = segs[k + 1][1] if k + 1 < len(segs) else proc.m
         pairs = _segment_mixture_pairs(
             proc, (prev_start, start, end, next_end), boundaries[k], boundaries[k + 1],
-            1.0, 1.0, epsilon,
+            alpha, beta, epsilon,
         )
+        tables.append(pairs)
         seen = set()
         for t in range(start, end + 1):
             # the mixture depends on t only through which pairs t falls left or right of
@@ -342,4 +402,40 @@ def test_every_band_bound_meets_cdf_tolerance(caplog):
             assert abs(mix.cdf(band.upper[t - 1]) - q_hi) <= 1e-8, (k, t)
         assert len(seen) > 1
         blocks += len(seen)
+    return blocks, inner, tables
+
+
+def test_every_band_bound_meets_cdf_tolerance(caplog):
+    # weak shifts leave every boundary posterior wider than the candidate cap
+    rng = np.random.default_rng(11)
+    p_vec = np.full(4000, 0.45)
+    p_vec[1300:2600] = 0.55
+    p_vec[2600:] = 0.48
+    proc = proc_from_z((rng.random(4000) < p_vec).astype(int))
+    with caplog.at_level(logging.DEBUG, logger="seqscan.posterior"):
+        blocks, inner, _ = assert_band_bounds_meet_cdf_tolerance(
+            proc, [1301, 2601], level=0.9, epsilon=1e-4, alpha=1.0, beta=1.0)
+    assert all(truncated for *_, truncated in inner)
+    assert "truncated 2 of 2 boundary posteriors" in caplog.text
     assert blocks > 50, blocks
+
+
+def test_band_bounds_meet_cdf_tolerance_under_half_prior():
+    # Beta(0.5, 0.5) priors give non-integer shapes, and the chains of each
+    # segment's component table run through the band solver
+    rng = np.random.default_rng(23)
+    p_vec = np.full(5000, 0.4)
+    p_vec[1000:2200] = 0.55
+    p_vec[2200:3500] = 0.35
+    p_vec[3500:] = 0.5
+    proc = proc_from_z((rng.random(5000) < p_vec).astype(int))
+    blocks, _, tables = assert_band_bounds_meet_cdf_tolerance(
+        proc, [1001, 2201, 3501], level=0.95, epsilon=1e-4, alpha=0.5, beta=0.5)
+    assert blocks > 50, blocks
+    for pairs in tables:
+        ab = pairs["comp_ab"]
+        assert (ab % 1.0 == 0.5).all()
+        chains = posterior._chains(ab[:, 0], ab[:, 1])
+        # most components come from a link, not from betainc
+        assert chains["roots"].size < ab.shape[0] / 2
+        assert 0.0 < chains["bound"] < 1e-9

@@ -52,6 +52,16 @@ class TestEstimateBaseline:
         with pytest.raises(InputError):
             estimate_baseline(ReadSet(np.array([], dtype=np.int64), "chr1"), 1000, 10.0)
 
+    @pytest.mark.parametrize("bandwidth", [200.0, 1e4, 1e9])
+    def test_kernel_longer_than_counts_keeps_bin_count(self, bandwidth):
+        # two reads per kb over 1 Mb: 1,000 bins; the 4-sigma kernel has 1,601 to
+        # 8e9 + 1 taps, and from 1e4 on its half-width is capped at the 999 bins it reaches
+        pos = np.arange(0, 1_000_000, 500)
+        base = estimate_baseline(ReadSet(pos, "chr1"), 1000, bandwidth)
+        assert base.values.size == 1000
+        assert base.total == pytest.approx(2_000, rel=1e-12)
+        assert (base.values > 0).all()
+
 
 class TestSpikeIn:
     def test_multiplier_applied_inside_only(self):
