@@ -93,28 +93,33 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_atomic(path: str, header: str, rows) -> None:
+def _tsv_lines(rows):
+    """One tab-separated line per row, every value through ``_fmt``."""
+    return ("\t".join(_fmt(v) for v in row) + "\n" for row in rows)
+
+
+def _write_atomic(path: str, header: str, lines) -> None:
     tmp = path + ".tmp"
     try:
         with open(tmp, "w") as fh:
             fh.write("#" + header + "\n")
-            for row in rows:
-                fh.write("\t".join(_fmt(v) for v in row) + "\n")
+            fh.writelines(lines)
         os.replace(tmp, path)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def _write_curve(out_dir: str, chrom: str, curve) -> None:
-    _write_atomic(os.path.join(out_dir, f"mbic_{chrom}.tsv"), "K\tmbic", enumerate(curve.values))
+    _write_atomic(os.path.join(out_dir, f"mbic_{chrom}.tsv"), "K\tmbic",
+                  _tsv_lines(enumerate(curve.values)))
 
 
-def _band_rows(chrom: str, band) -> list[tuple]:
-    """``band.tsv`` rows of one chromosome.
+def _band_lines(chrom: str, band) -> list[str]:
+    """``band.tsv`` lines of one chromosome.
 
     Band values are constant over each run of consecutive grid positions that
     falls in one band block, so the six value columns of a run are formatted
-    once and shared by its rows.
+    once and shared by its lines.
     """
     values = np.stack([band.lower, band.point_est, band.upper], axis=1)
     # compare bits, not values: 0.0 and -0.0 are equal but print differently
@@ -127,7 +132,7 @@ def _band_rows(chrom: str, band) -> list[tuple]:
                 relative_copy_number(hi))
         tails.append("\t".join(_fmt(v) for v in cols))
     run = np.cumsum(new_run) - 1
-    return [(chrom, pos, tails[r]) for pos, r in zip(band.grid.tolist(), run.tolist())]
+    return [f"{chrom}\t{pos}\t{tails[r]}\n" for pos, r in zip(band.grid.tolist(), run.tolist())]
 
 
 def _load_pair(
@@ -224,24 +229,24 @@ def _run_chromosomes(args: argparse.Namespace, with_band: bool):
 def run_segment(args: argparse.Namespace) -> int:
     """Full pipeline: merge, segment, select K, map to coordinates, band."""
     seg_rows = []
-    band_rows = []
+    band_lines = []
     for chrom, curve, segments, band in _run_chromosomes(args, with_band=True):
         for s in segments:
             seg_rows.append(
                 (chrom, s.start_bp, s.end_bp, s.start_idx, s.end_idx, s.n_case, s.n_control,
                  s.p_hat, s.rel_cn)
             )
-        band_rows += _band_rows(chrom, band)
+        band_lines += _band_lines(chrom, band)
         _write_curve(args.out_dir, chrom, curve)
     _write_atomic(
         os.path.join(args.out_dir, "segments.tsv"),
         "\t".join(SEGMENT_COLUMNS),
-        seg_rows,
+        _tsv_lines(seg_rows),
     )
     _write_atomic(
         os.path.join(args.out_dir, "band.tsv"),
         "chrom\tposition\tp_lower\tp_point\tp_upper\trel_cn_lower\trel_cn_point\trel_cn_upper",
-        band_rows,
+        band_lines,
     )
     return 0
 
@@ -294,17 +299,17 @@ def run_simulate(args: argparse.Namespace) -> int:
     _write_atomic(
         os.path.join(args.out_dir, "case.tsv"),
         "chrom\tposition",
-        [(chrom, int(p)) for p in case_reads.positions],
+        _tsv_lines((chrom, int(p)) for p in case_reads.positions),
     )
     _write_atomic(
         os.path.join(args.out_dir, "control.tsv"),
         "chrom\tposition",
-        [(chrom, int(p)) for p in control_reads.positions],
+        _tsv_lines((chrom, int(p)) for p in control_reads.positions),
     )
     _write_atomic(
         os.path.join(args.out_dir, "truth.tsv"),
         "\t".join(TRUTH_COLUMNS),
-        truth_rows,
+        _tsv_lines(truth_rows),
     )
     return 0
 
@@ -369,7 +374,7 @@ def run_evaluate(args: argparse.Namespace) -> int:
     _write_atomic(
         os.path.join(args.out_dir, "report.tsv"),
         "replicate\tn_true\tn_called\tn_matched\trecall\tprecision",
-        [(args.replicate_id, n_true, n_called, n_matched, recall, precision)],
+        _tsv_lines([(args.replicate_id, n_true, n_called, n_matched, recall, precision)]),
     )
     return 0
 

@@ -189,31 +189,23 @@ def _level_pairs(lo: int, hi: int, width_cap: int, width_floor: int, g: int):
 
 
 def _refine(kernel: StatKernel, lo: int, hi: int, cand, spacing: int, G: int):
-    """Walk a candidate interval to a local argmax with shrinking step sizes."""
+    """Walk a candidate interval to a local argmax with shrinking step sizes.
+
+    Each step scores a box of starts by ends.  Both axes are sorted (clipping
+    repeats only edge values), so the box's row-major argmax is ``_argbest``'s
+    pick.  Every move improves ``_better``'s order, so the walk ends.
+    """
     best = cand
     s = max(1, spacing)
-    dense_cut = _dense_cut(G)
-    guard = 0
     while True:
-        guard += 1
-        if guard > 10_000:
-            break
-        if s <= dense_cut:
-            off = np.arange(-s, s + 1, dtype=np.int64)
-        else:
-            step = max(1, s // G)
-            off = np.unique(np.concatenate([np.arange(-s, s + 1, step), [s]])).astype(np.int64)
-        bi, bj, _ = best
-        Ii = np.unique(np.clip(bi + off, lo, hi))
-        Jj = np.unique(np.clip(bj + off, lo, hi))
-        I = np.repeat(Ii, Jj.size)
-        J = np.tile(Jj, Ii.size)
-        keep = I <= J
-        I, J = I[keep], J[keep]
-        v = kernel.objective(I, J)
-        i2, j2, v2 = _argbest(I, J, v)
-        if _better(i2, j2, v2, best):
-            best = (i2, j2, v2)
+        off = np.append(np.arange(-s, s, 1 if s <= _dense_cut(G) else max(1, s // G)), s)
+        Ii = np.minimum(np.maximum(best[0] + off, lo), hi)
+        Jj = np.minimum(np.maximum(best[1] + off, lo), hi)
+        v = kernel.objective_box(Ii, Jj)
+        r, c = divmod(int(np.argmax(v)), Jj.size)
+        cand = (int(Ii[r]), int(Jj[c]), float(v[r, c]))
+        if _better(*cand, best):
+            best = cand
             continue
         if s == 1:
             break
@@ -221,25 +213,26 @@ def _refine(kernel: StatKernel, lo: int, hi: int, cand, spacing: int, G: int):
     return best
 
 
-def _coord_refine(kernel: StatKernel, lo: int, hi: int, cand, rounds: int = 2):
+def _coord_refine(kernel: StatKernel, lo: int, hi: int, cand, swept: dict, rounds: int = 2):
     """Re-optimize one endpoint at a time over the whole region.
 
     Each sweep holds one endpoint fixed and moves the other across the full
     axis (endpoints swap roles when they cross), so every sweep evaluates the
-    region once.  The sweeps stop after a round that leaves the candidate
-    unchanged: the next round would hold the same endpoints fixed.
+    region once.  A sweep's result depends only on its fixed endpoint, so
+    ``swept`` keeps it by endpoint across a scan's candidates.  The sweeps stop
+    after a round that leaves the candidate unchanged.
     """
     best = cand
-    axis = np.arange(lo, hi + 1, dtype=np.int64)
     for _ in range(rounds):
         start = best
         for fixed in (best[0], best[1]):
-            anchor = np.full(axis.size, fixed, dtype=np.int64)
-            I = np.minimum(anchor, axis)
-            J = np.maximum(anchor, axis)
-            i2, j2, v2 = _argbest(I, J, kernel.objective(I, J))
-            if _better(i2, j2, v2, best):
-                best = (i2, j2, v2)
+            if fixed not in swept:
+                axis = np.arange(lo, hi + 1, dtype=np.int64)
+                I = np.minimum(fixed, axis)
+                J = np.maximum(fixed, axis)
+                swept[fixed] = _argbest(I, J, kernel.objective(I, J))
+            if _better(*swept[fixed], best):
+                best = swept[fixed]
         if best == start:
             break
     return best
@@ -250,12 +243,13 @@ def iterative_grid_scan(
 ) -> ScanResult:
     """Coarse-to-fine interval scan.
 
-    Phase 1 walks a geometric ladder of interval widths; each level evaluates
-    intervals whose endpoints sit on a grid proportional to the level width
-    and keeps its best candidate.  All intervals up to width 3*grid_step are
-    evaluated exactly.  Phase 2 refines every retained candidate by repeated
-    local re-scans with shrinking step sizes and returns the overall best.
-    Small regions fall back to the exhaustive scan.
+    Phase 1 evaluates every interval up to width 3*grid_step, then walks a
+    geometric ladder of wider widths; each level scores intervals with endpoints
+    on a grid proportional to its width and keeps up to three separated
+    candidates.  Phase 2 walks each candidate to a local argmax (``_refine``),
+    sweeps the top four and the full-range interval one endpoint at a time
+    (``_coord_refine``) and returns the best.  Regions where the grid would
+    cost as much as all pairs fall back to the exhaustive scan.
     """
     G = int(grid_step)
     if G < 2:
@@ -294,8 +288,9 @@ def iterative_grid_scan(
     refined.append((lo, hi, float(kernel.objective(np.array([lo]), np.array([hi]))[0])))
 
     best = None
+    swept: dict[int, tuple] = {}
     for k, cand in enumerate(refined):
-        r = _coord_refine(kernel, lo, hi, cand) if k < 4 or k == len(refined) - 1 else cand
+        r = _coord_refine(kernel, lo, hi, cand, swept) if k < 4 or k == len(refined) - 1 else cand
         refined[k] = r
         if _better(r[0], r[1], r[2], best):
             best = r

@@ -183,17 +183,26 @@ class StatKernel:
     def objective_width(self, d: int) -> np.ndarray:
         """``objective`` of every interval [i, i + d] of the window, in order of i.
 
-        The case counts come from two contiguous slices of the prefix sum and
-        the width enters as one scalar, so no index arrays are built; every
-        value equals ``objective`` on the same interval bit for bit.
+        At one width the objective depends only on the case count, so ``_values``
+        runs once on every count the width allows and the sliding counts index
+        it.  Every value equals ``objective`` on the same interval bit for bit.
         """
-        ends = self.S[self.lo + d : self.hi + 1]
-        starts = self.S[self.lo - 1 : self.hi - d]
-        out = np.empty(ends.size)
-        for k in range(0, ends.size, self.CHUNK):
-            sl = slice(k, k + self.CHUNK)
-            out[sl] = self._values(ends[sl] - starts[sl], d + 1)
-        return out
+        x0 = max(0, d + 1 - (self.m - self.m1))
+        table = self._values(np.arange(x0, min(d + 1, self.m1) + 1), d + 1)
+        counts = self.S[self.lo + d : self.hi + 1] - self.S[self.lo - 1 : self.hi - d]
+        return table[counts - x0]
+
+    def objective_box(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+        """``objective`` of [I[r], J[c]] as entry [r, c], and -inf where I[r] > J[c]."""
+        x_in = self.S[J][None, :] - self.S[I - 1][:, None]
+        n_in = J[None, :] - I[:, None] + 1
+        if I[-1] <= J[0]:
+            return self._values(x_in, n_in)
+        below = n_in <= 0  # scored as a valid stand-in interval, then set to -inf
+        x_in[below], n_in[below] = 0, 1
+        v = self._values(x_in, n_in)
+        v[below] = -np.inf
+        return v
 
     def _objective_block(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
         return self._values(self.S[J] - self.S[I - 1], J - I + 1)

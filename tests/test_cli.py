@@ -303,8 +303,9 @@ class TestBandWriter:
         ]
 
     def assert_same_bytes(self, tmp_path, band):
-        cli._write_atomic(str(tmp_path / "old.tsv"), "band", self.row_by_row("chr2", band))
-        cli._write_atomic(str(tmp_path / "new.tsv"), "band", cli._band_rows("chr2", band))
+        rows = cli._tsv_lines(self.row_by_row("chr2", band))
+        cli._write_atomic(str(tmp_path / "old.tsv"), "band", rows)
+        cli._write_atomic(str(tmp_path / "new.tsv"), "band", cli._band_lines("chr2", band))
         assert (tmp_path / "old.tsv").read_bytes() == (tmp_path / "new.tsv").read_bytes()
 
     def test_ci_band_rows_identical_to_row_by_row(self, tmp_path):

@@ -243,8 +243,8 @@ class TestChainedCdf:
         assert bound <= 4 * np.finfo(float).eps * a.size + posterior.QUANTILE_TOL / 10
         off = np.abs(cdf - betainc(a, b, x[:, None])) > bound
         # betainc is itself off by up to 3e-9 in places (Beta(0.5, 0.5) at 1 - 2**-53),
-        # and a chain starts from its root's betainc.  Where the chain and betainc
-        # disagree by more than the bound, 40 digits decide, allowing the root's error
+        # and a chain starts from its root's CDF.  Where the chain and betainc disagree
+        # by more than the bound, 40 digits decide, allowing the root CDF's error
         if off.any():
             mpmath = pytest.importorskip("mpmath")
 
@@ -255,7 +255,7 @@ class TestChainedCdf:
             roots = chains["roots"]
             for i, j in zip(*np.nonzero(off)):
                 r = roots[np.searchsorted(roots, j, side="right") - 1]
-                root_err = abs(betainc(a[r], b[r], x[i]) - exact(r, i))
+                root_err = abs(posterior._beta_cdf(a[r], b[r], x[i]) - exact(r, i))
                 assert abs(cdf[i, j] - exact(j, i)) <= bound + root_err, (a[j], b[j], x[i])
 
     @settings(max_examples=100, deadline=None)
@@ -268,7 +268,22 @@ class TestChainedCdf:
         x = data.draw(cdf_points(a, b))
         cdf, _ = posterior._chained_cdf(a, b, chains, x)
         assert chains["bound"] == 0.0
-        assert np.array_equal(cdf, betainc(a, b, x[:, None]))
+        assert np.array_equal(cdf, posterior._beta_cdf(a, b, x[:, None]))
+
+    @pytest.mark.parametrize("x", [1.0 - 2.0**-53, 1.0 - 1e-9, 1.0 - 1e-6, 0.75, 0.5, 1e-9,
+                                   2.0**-53])
+    def test_arcsine_cdf_matches_mpmath(self, x):
+        # betainc(0.5, 0.5, x) is off by 2.8e-9 at x = 1 - 2**-53 and 1.1e-12 at 1 - 1e-9
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            exact = float(mpmath.betainc(0.5, 0.5, 0, x, regularized=True))
+        a, b = np.array([0.5, 0.5, 1.5, 2.5]), np.array([0.5, 1.5, 0.5, 0.5])
+        cdf, _ = posterior._chained_cdf(a, b, posterior._chains(a, b), np.array([x]))
+        assert abs(cdf[0, 0] - exact) <= np.spacing(exact)
+        mix = BetaMixture(weights=np.array([1.0]), a=a[:1], b=b[:1])
+        assert abs(mix.cdf(x) - exact) <= np.spacing(exact)
+        # every other shape is betainc's, bit for bit
+        assert np.array_equal(posterior._beta_cdf(a[1:], b[1:], x), betainc(a[1:], b[1:], x))
 
 
 class TestCiBand:

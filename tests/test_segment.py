@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqscan import StatKernel, cbs_segment, exhaustive_scan, glr, iterative_grid_scan, score
-from seqscan.segment import _argbest, _better, _coord_refine
+from seqscan.segment import _argbest, _better, _coord_refine, _dense_cut, _refine
 
 from conftest import bernoulli_process, proc_from_z
 
@@ -157,16 +159,179 @@ def test_coord_refine_early_stop_matches_every_round():
                 j = int(rng.integers(i, hi + 1))
                 cand = (i, j, float(kernel.objective(np.array([i]), np.array([j]))[0]))
                 want = coord_refine_every_round(kernel, lo, hi, cand, rounds)
-                assert _coord_refine(kernel, lo, hi, cand, rounds) == want
+                assert _coord_refine(kernel, lo, hi, cand, {}, rounds) == want
                 moved += want != cand
                 # at a fixed point of the sweeps the first round moves nothing
                 fixed = want
                 while (nxt := coord_refine_every_round(kernel, lo, hi, fixed, 1)) != fixed:
                     fixed = nxt
-                assert _coord_refine(kernel, lo, hi, fixed, rounds) == fixed
+                assert _coord_refine(kernel, lo, hi, fixed, {}, rounds) == fixed
                 stopped_early += rounds > 1
     assert moved > 0 and stopped_early > 0
 
+
+
+def refine_reference(kernel, lo, hi, cand, spacing, G):
+    """_refine scoring each box as flattened (i, j) pairs with i <= j (reference)."""
+    best = cand
+    s = max(1, spacing)
+    while True:
+        if s <= _dense_cut(G):
+            off = np.arange(-s, s + 1, dtype=np.int64)
+        else:
+            step = max(1, s // G)
+            off = np.unique(np.concatenate([np.arange(-s, s + 1, step), [s]])).astype(np.int64)
+        bi, bj, _ = best
+        Ii = np.unique(np.clip(bi + off, lo, hi))
+        Jj = np.unique(np.clip(bj + off, lo, hi))
+        I = np.repeat(Ii, Jj.size)
+        J = np.tile(Jj, Ii.size)
+        keep = I <= J
+        I, J = I[keep], J[keep]
+        i2, j2, v2 = _argbest(I, J, kernel.objective(I, J))
+        if _better(i2, j2, v2, best):
+            best = (i2, j2, v2)
+            continue
+        if s == 1:
+            break
+        s = max(1, s // 2)
+    return best
+
+
+@st.composite
+def scan_windows(draw, max_m=400):
+    """(process, lo, hi): labels random, blocked or constant; windows often at the edges."""
+    m = draw(st.integers(4, max_m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "block", "zeros", "ones"]))
+    if kind in ("zeros", "ones"):
+        Z = np.full(m, int(kind == "ones"))
+    else:
+        p = np.full(m, rng.uniform(0.1, 0.9))
+        if kind == "block":
+            start = int(rng.integers(0, m))
+            p[start : start + int(rng.integers(1, m + 1))] = rng.uniform(0.0, 1.0)
+        Z = (rng.random(m) < p).astype(int)
+    lo = draw(st.one_of(st.just(1), st.integers(1, m - 1)))
+    hi = draw(st.one_of(st.just(m), st.integers(lo + 1, m)))
+    return proc_from_z(Z), lo, hi
+
+
+def kernel_objective(kernel, i, j):
+    return float(kernel.objective(np.array([i]), np.array([j]))[0])
+
+
+class TestScanKernelsMatchReferences:
+    """Each batched scan path against the formulation it replaced, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scan_windows(), st.sampled_from(["score", "glr"]), st.integers(2, 16), st.data())
+    def test_refine_matches_flattened_boxes(self, window, stat, G, data):
+        proc, lo, hi = window
+        kernel = StatKernel(proc, stat, lo, hi)
+        i = data.draw(st.integers(lo, hi))
+        # narrow candidates make boxes straddle i > j; wide ones reach both edges
+        j = data.draw(st.one_of(st.integers(i, min(hi, i + 3)), st.integers(i, hi)))
+        cut = _dense_cut(G)
+        spacing = data.draw(st.one_of(st.integers(1, cut), st.integers(cut + 1, 4 * cut + 40)))
+        cand = (i, j, kernel_objective(kernel, i, j))
+        assert _refine(kernel, lo, hi, cand, spacing, G) == refine_reference(
+            kernel, lo, hi, cand, spacing, G)
+
+    @settings(max_examples=100, deadline=None)
+    @given(scan_windows(), st.sampled_from(["score", "glr"]), st.data())
+    def test_objective_box_matches_objective(self, window, stat, data):
+        proc, lo, hi = window
+        kernel = StatKernel(proc, stat, lo, hi)
+        axis = st.lists(st.integers(lo, hi), min_size=1, max_size=12, unique=True).map(sorted)
+        Ii, Jj = (np.array(data.draw(axis), dtype=np.int64) for _ in range(2))
+        v = kernel.objective_box(Ii, Jj)
+        I, J = np.repeat(Ii, Jj.size), np.tile(Jj, Ii.size)
+        keep = I <= J
+        want = np.full(I.size, -np.inf)
+        want[keep] = kernel.objective(I[keep], J[keep])
+        assert np.array_equal(v.ravel(), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(scan_windows(max_m=200), st.sampled_from(["score", "glr"]), st.data())
+    def test_one_sweep_per_anchor(self, window, stat, data):
+        proc, lo, hi = window
+        kernel = StatKernel(proc, stat, lo, hi)
+        # candidates built from a few endpoints, so later ones reuse earlier anchors
+        pool = data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=4))
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
+                                   min_size=1, max_size=6))
+        rounds = data.draw(st.integers(1, 3))
+        cands = [(min(p), max(p), kernel_objective(kernel, min(p), max(p))) for p in pairs]
+        want = [coord_refine_every_round(kernel, lo, hi, c, rounds) for c in cands]
+        sweeps = []
+        objective = kernel.objective
+        kernel.objective = lambda I, J: sweeps.append(I.size) or objective(I, J)
+        swept = {}
+        assert [_coord_refine(kernel, lo, hi, c, swept, rounds) for c in cands] == want
+        assert len(sweeps) == len(swept)
+
+    @settings(max_examples=150, deadline=None)
+    @given(scan_windows(), st.sampled_from(["score", "glr"]), st.data())
+    def test_objective_width_matches_sliding_counts(self, window, stat, data):
+        proc, lo, hi = window
+        kernel = StatKernel(proc, stat, lo, hi)
+        n = hi - lo + 1
+        d = data.draw(st.one_of(st.integers(0, min(3, n - 1)), st.integers(max(0, n - 4), n - 1),
+                                st.integers(0, n - 1)))
+        # the per-width formulation: _values on every window's sliding count
+        counts = kernel.S[lo + d : hi + 1] - kernel.S[lo - 1 : hi - d]
+        v = kernel.objective_width(d)
+        assert np.array_equal(v, kernel._values(counts, d + 1))
+        I = np.arange(lo, hi - d + 1, dtype=np.int64)
+        assert np.array_equal(v, kernel.objective(I, I + d))
+
+
+def golden_fixtures():
+    """Two processes whose segmentations are pinned below, with their grid step and max_k."""
+    idx = np.arange(3000)
+    p1 = np.where((idx >= 800) & (idx < 1100), 0.75,
+                  np.where((idx >= 2000) & (idx < 2300), 0.3, 0.5))
+    idx = np.arange(6000)
+    p2 = 0.5 + 0.08 * np.sin(idx / 700.0)
+    for s, e, d in ((500, 900, 0.2), (2500, 2560, -0.3), (4000, 4700, 0.12), (5900, 6000, -0.25)):
+        p2[s:e] += d
+    return {"blocks": (bernoulli_process(p1, 3000, 7), 10, 12),
+            "sine": (bernoulli_process(p2, 6000, 11), 4, 16)}
+
+
+# insertion order and float.hex step objectives, recorded before the scan's
+# refinement boxes, width sweep and coordinate sweeps were batched
+GOLDEN = {
+    ("blocks", "glr"): (
+        [814, 1099, 2002, 2300, 546, 566, 1603, 1614, 657, 667, 2841, 2851],
+        ["0x1.84924d1035600p+5", "0x1.6108316b89c00p+4", "0x1.ed28a65d2a000p+2",
+         "0x1.df066bc838c00p+2", "0x1.be63f3cd7c300p+2", "0x1.b450db73cd000p+2"]),
+    ("blocks", "score"): (
+        [814, 1099, 2002, 2300, 994, 1003, 546, 566, 1437, 1766, 1961, 1970],
+        ["0x1.3329a7f72b0fbp+3", "0x1.a2b34f6689792p+2", "0x1.02a7fc368fc5ep+2",
+         "0x1.d62178b2d250ap+1", "0x1.b0115d7ad3a0ep+1", "0x1.a6a1ecaa7e654p+1"]),
+    ("sine", "glr"): (
+        [570, 864, 2131, 3939, 5904, 5996, 1154, 1165, 3696, 3706, 5336, 5370, 2512, 2566,
+         3495, 3513],
+        ["0x1.0e3b521c36c00p+6", "0x1.56a3a946b1e00p+5", "0x1.f682c84e56800p+3",
+         "0x1.2675f29b5ac00p+3", "0x1.0f6ede7e6c000p+3", "0x1.ec2572c39a000p+2",
+         "0x1.d6edf24db8800p+2", "0x1.a65587f286800p+2"]),
+    ("sine", "score"): (
+        [2131, 3939, 570, 864, 5904, 5996, 578, 581, 654, 657, 671, 676, 636, 638, 647, 648],
+        ["0x1.63a4ace918c2cp+3", "0x1.27ea5125a2890p+3", "0x1.65b8624c32b1fp+2",
+         "0x1.0996fefc8a76fp+2", "0x1.0ec0558102aebp+2", "0x1.0d945b51b1eeep+2",
+         "0x1.0599c7e4a7fa4p+2", "0x1.0000000000000p+2"]),
+}
+
+
+@pytest.mark.parametrize("name, stat", sorted(GOLDEN))
+def test_cbs_segment_golden(name, stat):
+    proc, G, max_k = golden_fixtures()[name]
+    seq = cbs_segment(proc, stat, G, max_k)
+    order, objectives = GOLDEN[name, stat]
+    assert seq.insertion_order() == order
+    assert [step.objective.hex() for step in seq.steps] == objectives
 
 class TestCbsSegment:
     def test_middle_block_inserts_two(self):
