@@ -114,7 +114,7 @@ def _write_curve(out_dir: str, chrom: str, curve) -> None:
                   _tsv_lines(enumerate(curve.values)))
 
 
-def _band_lines(chrom: str, band) -> list[str]:
+def _band_lines(chrom: str, band):
     """``band.tsv`` lines of one chromosome.
 
     Band values are constant over each run of consecutive grid positions that
@@ -132,7 +132,7 @@ def _band_lines(chrom: str, band) -> list[str]:
                 relative_copy_number(hi))
         tails.append("\t".join(_fmt(v) for v in cols))
     run = np.cumsum(new_run) - 1
-    return [f"{chrom}\t{pos}\t{tails[r]}\n" for pos, r in zip(band.grid.tolist(), run.tolist())]
+    return (f"{chrom}\t{pos}\t{tails[r]}\n" for pos, r in zip(band.grid.tolist(), run.tolist()))
 
 
 def _load_pair(
@@ -229,14 +229,14 @@ def _run_chromosomes(args: argparse.Namespace, with_band: bool):
 def run_segment(args: argparse.Namespace) -> int:
     """Full pipeline: merge, segment, select K, map to coordinates, band."""
     seg_rows = []
-    band_lines = []
+    bands = []
     for chrom, curve, segments, band in _run_chromosomes(args, with_band=True):
         for s in segments:
             seg_rows.append(
                 (chrom, s.start_bp, s.end_bp, s.start_idx, s.end_idx, s.n_case, s.n_control,
                  s.p_hat, s.rel_cn)
             )
-        band_lines += _band_lines(chrom, band)
+        bands.append(_band_lines(chrom, band))
         _write_curve(args.out_dir, chrom, curve)
     _write_atomic(
         os.path.join(args.out_dir, "segments.tsv"),
@@ -246,7 +246,7 @@ def run_segment(args: argparse.Namespace) -> int:
     _write_atomic(
         os.path.join(args.out_dir, "band.tsv"),
         "chrom\tposition\tp_lower\tp_point\tp_upper\trel_cn_lower\trel_cn_point\trel_cn_upper",
-        band_lines,
+        (line for lines in bands for line in lines),
     )
     return 0
 

@@ -179,7 +179,10 @@ def _beta_cdf(a, b, x):
     There betainc is off by up to 2.8e-9 (at x = 1 - 2**-53) and the reflection by
     3e-17; 1 - x is exact.  Every other shape keeps betainc's value bit for bit.
     """
-    flip = (np.asarray(a) == 0.5) & (np.asarray(b) == 0.5) & (np.asarray(x) > 0.5)
+    half = (np.asarray(a) == 0.5) & (np.asarray(b) == 0.5)
+    if not half.any():
+        return betainc(a, b, x)
+    flip = half & (np.asarray(x) > 0.5)
     cdf = betainc(a, b, np.where(flip, 1.0 - x, x))
     return np.where(flip, 1.0 - cdf, cdf)
 
