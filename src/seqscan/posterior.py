@@ -176,8 +176,7 @@ _EPS = np.finfo(np.float64).eps
 def _beta_cdf(a, b, x):
     """betainc(a, b, x), but 1 - betainc(1/2, 1/2, 1 - x) for Beta(1/2, 1/2) above x = 1/2.
 
-    There betainc is off by up to 2.8e-9 (at x = 1 - 2**-53) and the reflection by
-    3e-17; 1 - x is exact.  Every other shape keeps betainc's value bit for bit.
+    There betainc is off by up to 2.8e-9 (at 1 - 2**-53), the reflection by 3e-17.
     """
     half = (np.asarray(a) == 0.5) & (np.asarray(b) == 0.5)
     if not half.any():

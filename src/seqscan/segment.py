@@ -191,9 +191,8 @@ def _level_pairs(lo: int, hi: int, width_cap: int, width_floor: int, g: int):
 def _refine(kernel: StatKernel, lo: int, hi: int, cand, spacing: int, G: int):
     """Walk a candidate interval to a local argmax with shrinking step sizes.
 
-    Each step scores a box of starts by ends.  Both axes are sorted (clipping
-    repeats only edge values), so the box's row-major argmax is ``_argbest``'s
-    pick.  Every move improves ``_better``'s order, so the walk ends.
+    Each step scores a box of starts by ends.  Its axes are sorted, so the box's
+    row-major argmax is ``_argbest``'s pick; every move improves ``_better``'s order.
     """
     best = cand
     s = max(1, spacing)
@@ -243,13 +242,12 @@ def iterative_grid_scan(
 ) -> ScanResult:
     """Coarse-to-fine interval scan.
 
-    Phase 1 evaluates every interval up to width 3*grid_step, then walks a
-    geometric ladder of wider widths; each level scores intervals with endpoints
-    on a grid proportional to its width and keeps up to three separated
-    candidates.  Phase 2 walks each candidate to a local argmax (``_refine``),
-    sweeps the top four and the full-range interval one endpoint at a time
-    (``_coord_refine``) and returns the best.  Regions where the grid would
-    cost as much as all pairs fall back to the exhaustive scan.
+    Phase 1 evaluates every interval up to width 3*grid_step, then a geometric
+    ladder of wider widths on endpoint grids proportional to the width, keeping
+    up to three separated candidates per level.  Phase 2 walks each candidate to
+    a local argmax (``_refine``), sweeps the top four and the full-range interval
+    one endpoint at a time (``_coord_refine``) and returns the best.  Regions
+    where the grid costs as much as all pairs are scanned exhaustively.
     """
     G = int(grid_step)
     if G < 2:

@@ -193,12 +193,12 @@ class StatKernel:
         return table[counts - x0]
 
     def objective_box(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
-        """``objective`` of [I[r], J[c]] as entry [r, c], and -inf where I[r] > J[c]."""
+        """``objective`` of [I[r], J[c]] as entry [r, c], -inf where I[r] > J[c] (I, J sorted)."""
         x_in = self.S[J][None, :] - self.S[I - 1][:, None]
         n_in = J[None, :] - I[:, None] + 1
         if I[-1] <= J[0]:
             return self._values(x_in, n_in)
-        below = n_in <= 0  # scored as a valid stand-in interval, then set to -inf
+        below = n_in <= 0  # counts of i > j would index outside the table: use stand-ins
         x_in[below], n_in[below] = 0, 1
         v = self._values(x_in, n_in)
         v[below] = -np.inf
