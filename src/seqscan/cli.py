@@ -28,10 +28,11 @@ from .process import (
     CombinedProcess,
     InputError,
     ReadSet,
+    distinct_sorted,
     merge_reads,
     read_positions,
     read_sets_from_table,
-    read_tsv_rows,
+    read_tsv,
     relative_copy_number,
     to_genomic,
 )
@@ -45,6 +46,8 @@ SEGMENT_COLUMNS = (
     "chrom", "start_bp", "end_bp", "start_idx", "end_idx", "n_case", "n_control", "p_hat", "rel_cn",
 )
 TRUTH_COLUMNS = ("chrom", "start_bp", "end_bp", "multiplier")
+# rows per string built for a position-keyed output file: bounds its peak memory
+CHUNK_ROWS = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,25 +117,31 @@ def _write_curve(out_dir: str, chrom: str, curve) -> None:
                   _tsv_lines(enumerate(curve.values)))
 
 
+def _position_lines(chrom: str, positions: np.ndarray, tail: str = ""):
+    """Lines ``chrom<TAB>position<tail>``, joined in strings of at most CHUNK_ROWS lines."""
+    sep = f"{tail}\n{chrom}\t"
+    for s in range(0, positions.size, CHUNK_ROWS):
+        yield f"{chrom}\t" + sep.join(map(str, positions[s:s + CHUNK_ROWS].tolist())) + f"{tail}\n"
+
+
 def _band_lines(chrom: str, band):
     """``band.tsv`` lines of one chromosome.
 
     Band values are constant over each run of consecutive grid positions that
     falls in one band block, so the six value columns of a run are formatted
-    once and shared by its lines.
+    once and its positions joined in bulk.
     """
     values = np.stack([band.lower, band.point_est, band.upper], axis=1)
     # compare bits, not values: 0.0 and -0.0 are equal but print differently
     bits = values.view(np.int64)
     new_run = np.ones(len(values), dtype=bool)
     new_run[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-    tails = []
-    for lo, pt, hi in values[new_run].tolist():
-        cols = (lo, pt, hi, relative_copy_number(lo), relative_copy_number(pt),
-                relative_copy_number(hi))
-        tails.append("\t".join(_fmt(v) for v in cols))
-    run = np.cumsum(new_run) - 1
-    return (f"{chrom}\t{pos}\t{tails[r]}\n" for pos, r in zip(band.grid.tolist(), run.tolist()))
+    starts = np.flatnonzero(new_run).tolist()
+    for lo, hi, (p_lo, p_pt, p_hi) in zip(starts, starts[1:] + [len(values)],
+                                          values[new_run].tolist()):
+        cols = (p_lo, p_pt, p_hi, relative_copy_number(p_lo), relative_copy_number(p_pt),
+                relative_copy_number(p_hi))
+        yield from _position_lines(chrom, band.grid[lo:hi], "\t" + "\t".join(map(_fmt, cols)))
 
 
 def _load_pair(
@@ -173,7 +182,7 @@ def _segment_one(chrom: str, case: ReadSet, control: ReadSet, args: argparse.Nam
     segments = to_genomic(taus, process)
     band = None
     if with_band:
-        grid = np.unique(process.W)[:: args.band_grid_step]
+        grid = distinct_sorted(process.W)[:: args.band_grid_step]
         band = ci_band(
             process,
             taus,
@@ -299,12 +308,12 @@ def run_simulate(args: argparse.Namespace) -> int:
     _write_atomic(
         os.path.join(args.out_dir, "case.tsv"),
         "chrom\tposition",
-        _tsv_lines((chrom, int(p)) for p in case_reads.positions),
+        _position_lines(chrom, case_reads.positions),
     )
     _write_atomic(
         os.path.join(args.out_dir, "control.tsv"),
         "chrom\tposition",
-        _tsv_lines((chrom, int(p)) for p in control_reads.positions),
+        _position_lines(chrom, control_reads.positions),
     )
     _write_atomic(
         os.path.join(args.out_dir, "truth.tsv"),
@@ -316,19 +325,15 @@ def run_simulate(args: argparse.Namespace) -> int:
 
 def _read_truth(path: str) -> dict[str, list[int]]:
     """Truth TSV -> per-chromosome sorted breakpoint positions (bp)."""
-    out: dict[str, list[int]] = {}
-    rows = read_tsv_rows(path, TRUTH_COLUMNS, int_columns=("start_bp", "end_bp"))
-    for _, (chrom, start, end, _) in rows:
-        out.setdefault(chrom, []).extend((start, end))
-    return {chrom: sorted(v) for chrom, v in out.items()}
+    table = read_tsv(path, TRUTH_COLUMNS, {"start_bp": None, "end_bp": None})
+    return {chrom: np.sort(np.concatenate([cols["start_bp"], cols["end_bp"]])).tolist()
+            for chrom, cols in table.items()}
 
 
 def _read_segment_starts(path: str) -> dict[str, list[int]]:
     """Segments TSV -> per-chromosome sorted segment start read indices."""
-    out: dict[str, list[int]] = {}
-    for _, parts in read_tsv_rows(path, SEGMENT_COLUMNS, int_columns=("start_idx",)):
-        out.setdefault(parts[0], []).append(parts[3])
-    return {chrom: sorted(v) for chrom, v in out.items()}
+    table = read_tsv(path, SEGMENT_COLUMNS, {"start_idx": None})
+    return {chrom: np.sort(cols["start_idx"]).tolist() for chrom, cols in table.items()}
 
 
 def run_evaluate(args: argparse.Namespace) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, betaln, gammaln, ndtri
 
-from .process import CombinedProcess, InputError, segment_bounds
+from .process import CombinedProcess, InputError, distinct_sorted, segment_bounds
 
 log = logging.getLogger(__name__)
 
@@ -488,7 +488,7 @@ def ci_band(
     if m == 0:
         raise InputError("empty process")
     segs = segment_bounds(taus, m)
-    grid = np.unique(process.W) if grid is None else np.asarray(grid, dtype=np.int64)
+    grid = distinct_sorted(process.W) if grid is None else np.asarray(grid, dtype=np.int64)
 
     # each called boundary varies over the two segments it separates; a chromosome
     # end is a boundary with one certain candidate, split 0 or m
@@ -528,7 +528,7 @@ def ci_band(
         )
         # the class mixture changes only where t crosses a candidate boundary:
         # one block per run of reads between consecutive distinct candidates
-        cuts = np.union1d(pairs["CL"], pairs["CR"])
+        cuts = distinct_sorted(np.sort(np.concatenate([pairs["CL"], pairs["CR"]])))
         _, first, block = np.unique(
             np.searchsorted(cuts, t_of_grid[sel]), return_index=True, return_inverse=True
         )

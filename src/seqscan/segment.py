@@ -10,7 +10,7 @@ significant interval's endpoints as change points until reaching ``max_k``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,11 +20,10 @@ from .stats import IntervalStat, StatKernel
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Best interval found in one region, plus the retained candidates."""
+    """Best interval found in one region."""
 
     best: IntervalStat | None
     objective: float
-    candidates: list[IntervalStat] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -109,8 +108,7 @@ def exhaustive_scan(process: CombinedProcess, stat_kind: str, lo: int, hi: int) 
     J = jj.astype(np.int64) + lo
     v = kernel.objective(I, J)
     i, j, obj = _argbest(I, J, v)
-    best = kernel.stat(i, j)
-    return ScanResult(best=best, objective=obj, candidates=[best])
+    return ScanResult(best=kernel.stat(i, j), objective=obj)
 
 
 def _dense_cut(G: int) -> int:
@@ -289,13 +287,11 @@ def iterative_grid_scan(
     swept: dict[int, tuple] = {}
     for k, cand in enumerate(refined):
         r = _coord_refine(kernel, lo, hi, cand, swept) if k < 4 or k == len(refined) - 1 else cand
-        refined[k] = r
         if _better(r[0], r[1], r[2], best):
             best = r
 
     i, j, obj = best
-    stats = [kernel.stat(ri, rj) for ri, rj, _ in sorted(refined, key=lambda c: (-c[2], c[0], c[1]))]
-    return ScanResult(best=kernel.stat(i, j), objective=obj, candidates=stats)
+    return ScanResult(best=kernel.stat(i, j), objective=obj)
 
 
 def cbs_segment(

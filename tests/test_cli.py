@@ -91,6 +91,24 @@ class TestSegmentCommand:
         assert rc == 0
         assert (out / "segments.tsv").exists()
 
+    def test_byte_order_mark_does_not_change_outputs(self, tmp_path):
+        case, control, _ = make_single_spike(tmp_path, m=600)
+
+        def outputs(name, prefix, skip):
+            argv = ["segment", "--max-k", "4", "--out-dir", str(tmp_path / name)]
+            for flag, src in (("--case", case), ("--control", control)):
+                lines = src.read_text().splitlines(keepends=True)[skip:]
+                dst = tmp_path / f"{name}-{src.name}"
+                dst.write_bytes((prefix + "".join(lines)).encode())
+                argv += [flag, str(dst)]
+            assert cli.main(argv) == 0
+            return {f.name: f.read_bytes() for f in sorted((tmp_path / name).iterdir())}
+
+        plain = outputs("plain", "", 0)
+        # before the header, and before the first data row of a headerless file
+        assert outputs("bom", "\ufeff", 0) == plain
+        assert outputs("bom-headerless", "\ufeff", 1) == plain
+
     def test_short_chromosome_skipped(self, tmp_path, caplog):
         write_reads(tmp_path / "case.tsv", [1, 2, 3])
         write_reads(tmp_path / "control.tsv", [4, 5, 6])
@@ -315,6 +333,19 @@ class TestBandWriter:
         band = ci_band(proc, [501, 1001], grid=np.unique(proc.W)[::3])
         assert len(set(band.lower.tolist())) > 10
         self.assert_same_bytes(tmp_path, band)
+
+    def test_long_and_one_row_runs_identical_to_row_by_row(self, tmp_path):
+        # one run longer than two chunks, then a one-row run at every position
+        lower = np.concatenate([np.full(2 * cli.CHUNK_ROWS + 7, 0.25), np.linspace(0, 0.5, 500)])
+        band = PosteriorBand(grid=np.arange(lower.size) * 3 + 1, lower=lower, upper=lower + 0.5,
+                             point_est=lower + 0.25)
+        self.assert_same_bytes(tmp_path, band)
+
+    def test_position_lines_identical_to_row_by_row(self):
+        for n in (0, 1, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1):
+            pos = np.arange(n, dtype=np.int64) * 11
+            rows = cli._tsv_lines(("chrX", int(p)) for p in pos)
+            assert "".join(cli._position_lines("chrX", pos)) == "".join(rows)
 
     def test_edge_values_identical_to_row_by_row(self, tmp_path):
         # repeated and returning runs, a p of 1 (rel_cn inf) and a signed zero
@@ -575,8 +606,12 @@ ROW_FIELDS = {
 }
 # one field replaced by one of these: non-integer, negative, too large, unknown label, empty
 BAD_FIELDS = ["x", "1.5", "-4", str(10**16), "tumor", ""]
-ROW_DEFECTS = ("truncated_row", "extra_column", "bad_field")
-DEFECTS = [*ROW_DEFECTS, "empty_file", "non_utf8"]
+# integers as int() reads them that are not plain digit strings, and one beyond MAX_POSITION
+ODD_INTEGERS = ["+5", " 5", "007", "1234567890123456789", "\u0665"]
+# the field each input file has read as an integer
+INT_FIELD = {"--case": 1, "--control": 1, "--reads": 1, "--truth": 1, "--calls": 3}
+ROW_DEFECTS = ("truncated_row", "extra_column", "bad_field", "odd_integer", "interleaved")
+DEFECTS = [*ROW_DEFECTS, "crlf", "bom", "empty_file", "non_utf8"]
 
 
 @st.composite
@@ -590,14 +625,23 @@ def input_file(draw, flag, defect):
             del row[draw(st.integers(1, len(row) - 1)):]
         elif defect == "extra_column":
             row.append(draw(st.sampled_from(["", "x", "9"])))
-        else:
+        elif defect == "bad_field":
             row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(BAD_FIELDS))
+        elif defect == "odd_integer":
+            row[INT_FIELD[flag]] = draw(st.sampled_from(ODD_INTEGERS))
+        else:
+            for k, r in enumerate(rows):
+                r[0] = ("chr1", "chr2")[k % 2]
     lines = ["\t".join(r) for r in rows]
     for extra in draw(st.lists(st.sampled_from(["", "#note", "#chrom\tposition"]), max_size=3)):
         lines.insert(draw(st.integers(0, len(lines))), extra)
     data = "".join(line + "\n" for line in lines).encode()
     if defect == "empty_file":
         return b""
+    if defect == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    if defect == "bom":
+        return "\ufeff".encode() + data
     if defect == "non_utf8":
         at = draw(st.integers(0, len(data)))
         return data[:at] + b"\xff\xfe" + data[at:]

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seqscan.cli as cli
+import seqscan.process as process
 from seqscan import InputError, ReadSet, merge_reads, relative_copy_number, to_genomic
-from seqscan.process import read_positions, segment_bounds
+from seqscan.process import MAX_POSITION, distinct_sorted, read_positions, segment_bounds
 
 from conftest import proc_from_z
 
@@ -139,13 +141,13 @@ class TestReadPositions:
         f = tmp_path / "reads.tsv"
         f.write_text("#chrom\tposition\nchr1\t5\nchr2\t9\nchr1\t3\n")
         table = read_positions(f)
-        assert table == {"chr1": [5, 3], "chr2": [9]}
+        assert {chrom: pos.tolist() for chrom, pos in table.items()} == {"chr1": [5, 3], "chr2": [9]}
 
     def test_label_mode(self, tmp_path):
         f = tmp_path / "reads.tsv"
         f.write_text("chr1\t5\tcase\nchr1\t7\tcontrol\n")
-        table = read_positions(f, label_mode=True)
-        assert table["chr1"] == ([5], [7])
+        case, control = read_positions(f, label_mode=True)["chr1"]
+        assert (case.tolist(), control.tolist()) == ([5], [7])
 
     def test_error_reports_line_number(self, tmp_path):
         f = tmp_path / "bad.tsv"
@@ -158,3 +160,167 @@ class TestReadPositions:
         f.write_text("chr1\n")
         with pytest.raises(InputError, match=":1:"):
             read_positions(f)
+
+    def test_first_bad_line_reported(self, tmp_path, monkeypatch):
+        # bad lines in two blocks and of two kinds: the first in file order is named
+        f = tmp_path / "bad.tsv"
+        f.write_text("chr1\t5\n#\nchr1\tx\nchr1\t6\nchr1\n")
+        for block in (1, 8, 1 << 18):
+            monkeypatch.setattr(process, "BLOCK_BYTES", block)
+            with pytest.raises(InputError, match=":3: position 'x' is not an integer"):
+                read_positions(f)
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # a BOM before the header or before the first data row is not part of the text
+        for text in ("#chrom\tposition\nchr1\t5\n", "chr1\t5\n"):
+            f = tmp_path / "bom.tsv"
+            f.write_bytes(b"\xef\xbb\xbf" + text.encode())
+            assert {c: p.tolist() for c, p in read_positions(f).items()} == {"chr1": [5]}
+
+
+def test_distinct_sorted():
+    for a in ([], [3], [1, 1, 2, 5, 5, 5, 9], [-2, 0, 0]):
+        a = np.asarray(a, dtype=np.int64)
+        assert np.array_equal(distinct_sorted(a), np.unique(a))
+
+
+def reference_rows(path, columns, int_columns=()):
+    """(line number, fields) of every data row, one line at a time.
+
+    The row-by-row reader that ``read_tsv`` replaced (with the file read as
+    utf-8-sig), kept as the reference for its results and messages.
+    """
+    want = len(columns)
+    to_int = [columns.index(name) for name in int_columns]
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = fh.read().split("\n")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"cannot read {path}: not a text file") from None
+    for lineno, line in enumerate(lines, start=1):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != want:
+            raise InputError(f"{path}:{lineno}: expected {want} columns, got {len(parts)}")
+        try:
+            for c in to_int:
+                parts[c] = int(parts[c])
+        except ValueError:
+            msg = f"{path}:{lineno}: {columns[c]} {parts[c]!r} is not an integer"
+            raise InputError(msg) from None
+        yield lineno, parts
+
+
+def reference_positions(path, label_mode=False):
+    columns = ("chrom", "position", "label") if label_mode else ("chrom", "position")
+    table = {}
+    for lineno, parts in reference_rows(path, columns, ("position",)):
+        chrom, pos = parts[0], parts[1]
+        if not 0 <= pos <= MAX_POSITION:
+            raise InputError(f"{path}:{lineno}: position {pos} outside [0, {MAX_POSITION}]")
+        if label_mode:
+            lab = parts[2]
+            if lab not in ("case", "control"):
+                raise InputError(f"{path}:{lineno}: label {lab!r} not in {{case, control}}")
+            table.setdefault(chrom, ([], []))[0 if lab == "case" else 1].append(pos)
+        else:
+            table.setdefault(chrom, []).append(pos)
+    return list(table.items())
+
+
+def reference_truth(path):
+    out = {}
+    for _, (chrom, start, end, _) in reference_rows(path, cli.TRUTH_COLUMNS, ("start_bp", "end_bp")):
+        out.setdefault(chrom, []).extend((start, end))
+    return [(chrom, sorted(v)) for chrom, v in out.items()]
+
+
+def reference_segment_starts(path):
+    out = {}
+    for _, parts in reference_rows(path, cli.SEGMENT_COLUMNS, ("start_idx",)):
+        out.setdefault(parts[0], []).append(parts[3])
+    return [(chrom, sorted(v)) for chrom, v in out.items()]
+
+
+def as_lists(table):
+    return [(chrom, [v.tolist() for v in pos] if isinstance(pos, tuple) else pos.tolist())
+            for chrom, pos in table.items()]
+
+
+# a leading '#' makes the line a comment; the others differ only in bytes the loop kept
+TEXT = st.sampled_from(["chr1", "chr2", "chr10", "chr1 ", "chré", "chr1_KI270706v1_random",
+                        "#chr", ""])
+# int() accepts all of these: signs, spaces, underscores, leading zeros, other scripts' digits
+INTS = st.one_of(st.integers(0, 3000).map(str),
+                 st.sampled_from(["+5", " 5", "5 ", "007", "1_000", "\u0663", "\uff17",
+                                  "123456789012345678", "0" * 25 + "7"]))
+# (fields of a valid row, columns checked as integers, reader under test, reference)
+LAYOUTS = {
+    "positions": (st.tuples(TEXT, INTS), (1,),
+                  lambda p: as_lists(read_positions(p)), reference_positions),
+    "labeled": (st.tuples(TEXT, INTS, st.sampled_from(["case", "control"])), (1,),
+                lambda p: as_lists(read_positions(p, label_mode=True)),
+                lambda p: [(c, list(v)) for c, v in reference_positions(p, label_mode=True)]),
+    "truth": (st.tuples(TEXT, INTS | st.sampled_from(["-4", "9" * 19, "9" * 30]), INTS, TEXT), (1, 2),
+              lambda p: list(cli._read_truth(p).items()), reference_truth),
+    "segments": (st.tuples(TEXT, TEXT, TEXT, INTS | st.just("9" * 30), *[TEXT] * 5), (3,),
+                 lambda p: list(cli._read_segment_starts(p).items()), reference_segment_starts),
+}
+# one field replaced by: a non-integer, or an integer outside [0, MAX_POSITION], or a bad label
+BAD_INTS = ["x", "1.5", "", "-", "1 2", "1:2", "3/4", "\u0663x", "1__0"]
+BAD_POSITIONS = ["-1", str(MAX_POSITION + 1), "1234567890123456789", "9" * 30]
+BAD_LABELS = ["tumor", "Case", "case ", ""]
+
+
+def test_block_reader_matches_row_loop(tmp_path):
+    """read_tsv's callers give the row loop's results and first error, blocks cut anywhere."""
+    examples = iter(range(10**9))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def run(data):
+        layout = data.draw(st.sampled_from(sorted(LAYOUTS)))
+        row_fields, int_cols, read_new, read_old = LAYOUTS[layout]
+        rows = [list(r) for r in data.draw(st.lists(row_fields, max_size=40))]
+        defects = ["columns", "integer"] + (["range"] if layout in ("positions", "labeled") else [])
+        defects += ["label"] if layout == "labeled" else []
+        defect = data.draw(st.sampled_from([None, *defects])) if rows else None
+        if defect:
+            row = data.draw(st.sampled_from(rows))
+            if defect == "columns":
+                if data.draw(st.booleans()):
+                    row.append("9")
+                else:
+                    del row[data.draw(st.integers(0, len(row) - 1)):]
+            elif defect == "integer":
+                row[data.draw(st.sampled_from(int_cols))] = data.draw(st.sampled_from(BAD_INTS))
+            elif defect == "range":
+                row[1] = data.draw(st.sampled_from(BAD_POSITIONS))
+            else:
+                row[2] = data.draw(st.sampled_from(BAD_LABELS))
+        lines = ["\t".join(r) for r in rows]
+        for extra in data.draw(st.lists(st.sampled_from(["", "#note", "#chrom\tposition"]),
+                                        max_size=3)):
+            lines.insert(data.draw(st.integers(0, len(lines))), extra)
+        newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        text = newline.join(lines) + data.draw(st.sampled_from(["", newline]))
+        bom = data.draw(st.sampled_from(["", "\ufeff"]))
+        path = tmp_path / f"{next(examples)}.tsv"
+        path.write_bytes((bom + text).encode())
+        block = data.draw(st.sampled_from([1, 5, 16, 64, process.BLOCK_BYTES]))
+
+        def outcome(reader):
+            try:
+                return "ok", reader(path)
+            except InputError as exc:
+                return "error", str(exc)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(process, "BLOCK_BYTES", block)
+            new = outcome(read_new)
+        assert new == outcome(read_old), (layout, defect, block, text)
+
+    run()

@@ -117,13 +117,6 @@ class TestIterativeGridScan:
         with pytest.raises(ValueError):
             iterative_grid_scan(proc_from_z([1, 0, 1, 0]), "glr", 1, 4, grid_step=1)
 
-    def test_candidates_ranked(self):
-        proc = bernoulli_process(0.5, 800, seed=3)
-        res = iterative_grid_scan(proc, "glr", 1, 800, grid_step=10)
-        objs = [c.lambda_ij for c in res.candidates]
-        assert objs == sorted(objs, reverse=True)
-        assert res.best.lambda_ij == objs[0]
-
 
 def coord_refine_every_round(kernel, lo, hi, cand, rounds=2):
     """Coordinate sweeps that run every round, moved or not (reference)."""
