@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .process import CombinedProcess
-from .stats import IntervalStat, StatKernel
+from .stats import IntervalStat, StatKernel, xlogx_table
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,17 @@ def _argbest_diverse(I: np.ndarray, J: np.ndarray, v: np.ndarray, k: int, radius
     out = []
     alive = np.ones(v.size, dtype=bool)
     for _ in range(k):
-        if not alive.any():
+        # an all -inf remainder still yields its lexicographically first interval
+        vmax = np.max(v, where=alive, initial=-np.inf)
+        tie = (v == vmax) & alive
+        Im, Jm = I[tie], J[tie]
+        if not Im.size:
             break
-        Ia, Ja, va = I[alive], J[alive], v[alive]
-        ci, cj, cv = _argbest(Ia, Ja, va)
-        out.append((ci, cj, cv))
-        alive &= ~((np.abs(I - ci) < radius) & (np.abs(J - cj) < radius))
+        t = np.lexsort((Jm, Im))[0]
+        ci, cj = int(Im[t]), int(Jm[t])
+        out.append((ci, cj, float(vmax)))
+        if len(out) < k:
+            alive &= (np.abs(I - ci) >= radius) | (np.abs(J - cj) >= radius)
     return out
 
 
@@ -91,17 +96,19 @@ def _check_region(process: CombinedProcess, lo: int, hi: int) -> None:
         raise ValueError(f"region [{lo}, {hi}] outside [1, {process.m}]")
 
 
-def exhaustive_scan(process: CombinedProcess, stat_kind: str, lo: int, hi: int) -> ScanResult:
+def exhaustive_scan(process: CombinedProcess, stat_kind: str, lo: int, hi: int,
+                    xlogx: np.ndarray | None = None) -> ScanResult:
     """Evaluate every interval with lo <= i <= j <= hi and return the argmax.
 
     The region is scanned as its own sequence, so the full-range interval is
     skipped for the likelihood-ratio statistic (it has no outside reads).  A
-    region narrower than 2 reads yields an empty result.
+    region narrower than 2 reads yields an empty result.  ``xlogx`` is passed
+    to ``StatKernel``.
     """
     _check_region(process, lo, hi)
     if hi - lo < 1:
         return ScanResult(best=None, objective=float("-inf"))
-    kernel = StatKernel(process, stat_kind, lo, hi)
+    kernel = StatKernel(process, stat_kind, lo, hi, xlogx)
     n = hi - lo + 1
     ii, jj = np.triu_indices(n)
     I = ii.astype(np.int64) + lo
@@ -186,28 +193,69 @@ def _level_pairs(lo: int, hi: int, width_cap: int, width_floor: int, g: int):
     return np.concatenate(out_I), np.concatenate(out_J)
 
 
-def _refine(kernel: StatKernel, lo: int, hi: int, cand, spacing: int, G: int):
-    """Walk a candidate interval to a local argmax with shrinking step sizes.
+def _score_boxes(kernel: StatKernel, lo: int, hi: int, bi, bj, s, G: int):
+    """Cells (I, J), values and each box's first cell of every candidate's refinement box.
 
-    Each step scores a box of starts by ends.  Its axes are sorted, so the box's
-    row-major argmax is ``_argbest``'s pick; every move improves ``_better``'s order.
+    Box k crosses the starts bi[k] + off with the ends bj[k] + off, clipped to
+    [lo, hi]; off runs -s[k], -s[k] + step, ... capped at s[k], with step 1 at
+    or below the dense cut and s[k] // G above it.  The boxes lie row-major,
+    back to back, unpadded; one ``objective`` call scores the cells with
+    i <= j and the rest are -inf.
     """
-    best = cand
-    s = max(1, spacing)
-    while True:
-        off = np.append(np.arange(-s, s, 1 if s <= _dense_cut(G) else max(1, s // G)), s)
-        Ii = np.minimum(np.maximum(best[0] + off, lo), hi)
-        Jj = np.minimum(np.maximum(best[1] + off, lo), hi)
-        v = kernel.objective_box(Ii, Jj)
-        r, c = divmod(int(np.argmax(v)), Jj.size)
-        cand = (int(Ii[r]), int(Jj[c]), float(v[r, c]))
-        if _better(*cand, best):
-            best = cand
-            continue
-        if s == 1:
-            break
-        s = max(1, s // 2)
-    return best
+    step = np.maximum(1, s // G)
+    step[s <= _dense_cut(G)] = 1
+    side = (2 * s + step - 1) // step + 1
+    # the box axes back to back: entry r of box k has offset min(r * step - s, s)
+    axis_box = np.repeat(np.arange(s.size), side)
+    axis_first = side.cumsum() - side
+    r = np.arange(axis_box.size) - axis_first[axis_box]
+    sr = s[axis_box]
+    off = np.minimum(r * step[axis_box] - sr, sr)
+    Iax = np.minimum(np.maximum(bi[axis_box] + off, lo), hi)
+    Jax = np.minimum(np.maximum(bj[axis_box] + off, lo), hi)
+    # the cells: start r of box k meets every end of box k
+    row_len = side[axis_box]
+    first = (side * side).cumsum() - side * side
+    I = np.repeat(Iax, row_len)
+    J = Jax[np.arange(I.size) - np.repeat(first[axis_box] + r * row_len - axis_first[axis_box],
+                                          row_len)]
+    # both axes are sorted, so a box has cells with i > j iff its last start passes its first end
+    if (Iax[axis_first + side - 1] > Jax[axis_first]).any():
+        keep = I <= J
+        v = np.full(I.size, -np.inf)
+        v[keep] = kernel.objective(I[keep], J[keep])
+    else:
+        v = kernel.objective(I, J)
+    return I, J, v, first
+
+
+def _refine_lockstep(kernel: StatKernel, lo: int, hi: int, cands, spacings, G: int):
+    """Walk every candidate interval to a local argmax with shrinking step sizes.
+
+    The walks advance in lockstep, one ``_score_boxes`` batch per round.  A
+    box's axes are sorted, so its first maximum is ``_argbest``'s pick.  A
+    candidate moves there when it is ``_better``, else halves s; it stops
+    after a box at s = 1 that does not move it.
+    """
+    bi = np.array([c[0] for c in cands], dtype=np.int64)
+    bj = np.array([c[1] for c in cands], dtype=np.int64)
+    bv = np.array([c[2] for c in cands], dtype=np.float64)
+    s = np.maximum(1, np.array(spacings, dtype=np.int64))
+    act = np.arange(len(cands))
+    while act.size:
+        ba, ja, va, sa = bi[act], bj[act], bv[act], s[act]
+        I, J, v, first = _score_boxes(kernel, lo, hi, ba, ja, sa, G)
+        top = np.maximum.reduceat(v, first)
+        hits = (v == np.repeat(top, np.diff(first, append=v.size))).nonzero()[0]
+        win = hits[hits.searchsorted(first)]
+        ci, cj, cv = I[win], J[win], v[win]
+        moved = (cv > va) | ((cv == va) & ((ci < ba) | ((ci == ba) & (cj < ja))))
+        to = act[moved]
+        bi[to], bj[to], bv[to] = ci[moved], cj[moved], cv[moved]
+        going = moved | (sa > 1)
+        s[act[going & ~moved]] //= 2
+        act = act[going]
+    return list(zip(bi.tolist(), bj.tolist(), bv.tolist()))
 
 
 def _coord_refine(kernel: StatKernel, lo: int, hi: int, cand, swept: dict, rounds: int = 2):
@@ -215,19 +263,20 @@ def _coord_refine(kernel: StatKernel, lo: int, hi: int, cand, swept: dict, round
 
     Each sweep holds one endpoint fixed and moves the other across the full
     axis (endpoints swap roles when they cross), so every sweep evaluates the
-    region once.  A sweep's result depends only on its fixed endpoint, so
-    ``swept`` keeps it by endpoint across a scan's candidates.  The sweeps stop
-    after a round that leaves the candidate unchanged.
+    region once (``StatKernel.objective_sweep``), and its plain argmax is
+    ``_argbest``'s pick.  A sweep's result depends only on its fixed endpoint,
+    so ``swept`` keeps it by endpoint across a scan's candidates.  The sweeps
+    stop after a round that leaves the candidate unchanged.
     """
     best = cand
     for _ in range(rounds):
         start = best
         for fixed in (best[0], best[1]):
             if fixed not in swept:
-                axis = np.arange(lo, hi + 1, dtype=np.int64)
-                I = np.minimum(fixed, axis)
-                J = np.maximum(fixed, axis)
-                swept[fixed] = _argbest(I, J, kernel.objective(I, J))
+                v = kernel.objective_sweep(fixed)
+                k = int(np.argmax(v))
+                a = lo + k
+                swept[fixed] = (min(fixed, a), max(fixed, a), float(v[k]))
             if _better(*swept[fixed], best):
                 best = swept[fixed]
         if best == start:
@@ -235,17 +284,18 @@ def _coord_refine(kernel: StatKernel, lo: int, hi: int, cand, swept: dict, round
     return best
 
 
-def iterative_grid_scan(
-    process: CombinedProcess, stat_kind: str, lo: int, hi: int, grid_step: int = 10
-) -> ScanResult:
+def iterative_grid_scan(process: CombinedProcess, stat_kind: str, lo: int, hi: int,
+                        grid_step: int = 10, xlogx: np.ndarray | None = None) -> ScanResult:
     """Coarse-to-fine interval scan.
 
     Phase 1 evaluates every interval up to width 3*grid_step, then a geometric
     ladder of wider widths on endpoint grids proportional to the width, keeping
-    up to three separated candidates per level.  Phase 2 walks each candidate to
-    a local argmax (``_refine``), sweeps the top four and the full-range interval
-    one endpoint at a time (``_coord_refine``) and returns the best.  Regions
-    where the grid costs as much as all pairs are scanned exhaustively.
+    up to three separated candidates per level.  Phase 2 walks all candidates to
+    local argmaxes in lockstep, one ``objective`` call per round
+    (``_refine_lockstep``), sweeps the top four and the full-range interval one
+    endpoint at a time over prefix-sum slices (``_coord_refine``) and returns
+    the best.  Regions where the grid costs as much as all pairs are scanned
+    exhaustively.  ``xlogx`` is passed to ``StatKernel``.
     """
     G = int(grid_step)
     if G < 2:
@@ -256,9 +306,9 @@ def iterative_grid_scan(
     # the grid degenerates to all pairs whenever it would cost as much anyway
     # (and exhaustive_scan returns the empty result for a region of one read)
     if n <= 3 * G or _grid_work_estimate(n, G, plan) >= n * (n + 1) // 2:
-        return exhaustive_scan(process, stat_kind, lo, hi)
+        return exhaustive_scan(process, stat_kind, lo, hi, xlogx)
 
-    kernel = StatKernel(process, stat_kind, lo, hi)
+    kernel = StatKernel(process, stat_kind, lo, hi, xlogx)
     level_best: list[tuple] = []
 
     # dense sweep of all small widths, batched per width; argmax takes the first
@@ -278,7 +328,7 @@ def iterative_grid_scan(
         for cand in _argbest_diverse(I, J, v, k=3, radius=max(2 * g, w // 4)):
             level_best.append((cand, g))
 
-    refined = [_refine(kernel, lo, hi, cand, spacing, G) for cand, spacing in level_best]
+    refined = _refine_lockstep(kernel, lo, hi, *zip(*level_best), G)
     refined.sort(key=lambda c: (-c[2], c[0], c[1]))
     # the full-range seed catches argmaxes hugging both region edges
     refined.append((lo, hi, float(kernel.objective(np.array([lo]), np.array([hi]))[0])))
@@ -316,6 +366,8 @@ def cbs_segment(
     if m < 2:
         return ChangePointSequence(steps=steps, m=m)
 
+    # one x*log(x) table serves every region's likelihood-ratio kernel
+    xlogx = xlogx_table(m) if stat_kind == "glr" else None
     regions: list[tuple[int, int]] = [(1, m)]
     cache: dict[tuple[int, int], tuple | None] = {}
     n_taus = 0
@@ -328,7 +380,7 @@ def cbs_segment(
             if b - a < 1:
                 cache[reg] = None
                 continue
-            res = iterative_grid_scan(process, stat_kind, a, b, grid_step)
+            res = iterative_grid_scan(process, stat_kind, a, b, grid_step, xlogx)
             if res.best is None:
                 cache[reg] = None
             else:

@@ -77,6 +77,15 @@ def _xlogx(k):
     return xlogy(k, k)
 
 
+def xlogx_table(m: int) -> np.ndarray:
+    """k*log(k) of every count k = 0..m: the table a likelihood-ratio kernel indexes.
+
+    Its values do not depend on the window, so one table of a chromosome's
+    length serves every ``StatKernel`` on it.
+    """
+    return _xlogx(np.arange(m + 1, dtype=np.float64))
+
+
 def interval_score(S: np.ndarray, lo: int, hi: int, i: int, j: int) -> IntervalStat:
     """Score statistic of [i, j] against the rest of the window [lo, hi].
 
@@ -146,12 +155,12 @@ class StatKernel:
     rest of the window.  On the whole stream this is exactly the chromosome
     statistic; recursive segmentation scans sub-regions the same way.  The
     scan objective is |t_ij| for the score statistic and lambda_ij for the
-    likelihood ratio.  Arrays I and J are 1-based interval endpoints.
+    likelihood ratio.  Arrays I and J are 1-based interval endpoints.  ``xlogx``
+    may pass a shared ``xlogx_table`` of at least the window's length.
     """
 
-    def __init__(
-        self, process: CombinedProcess, stat_kind: str, lo: int = 1, hi: int | None = None
-    ):
+    def __init__(self, process: CombinedProcess, stat_kind: str, lo: int = 1,
+                 hi: int | None = None, xlogx: np.ndarray | None = None):
         if stat_kind not in _INTERVAL_STAT:
             raise ValueError(f"unknown statistic {stat_kind!r}")
         hi = process.m if hi is None else hi
@@ -164,7 +173,7 @@ class StatKernel:
         self.m1 = int(process.S[hi] - process.S[lo - 1])
         self._p = self.m1 / self.m if self.m else 0.0
         if stat_kind == "glr":
-            self._xlogx = _xlogx(np.arange(self.m + 1, dtype=np.float64))
+            self._xlogx = xlogx_table(self.m) if xlogx is None else xlogx[: self.m + 1]
 
     # evaluation block size: temporaries stay cache-resident on large batches
     CHUNK = 32768
@@ -192,17 +201,22 @@ class StatKernel:
         counts = self.S[self.lo + d : self.hi + 1] - self.S[self.lo - 1 : self.hi - d]
         return table[counts - x0]
 
-    def objective_box(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
-        """``objective`` of [I[r], J[c]] as entry [r, c], -inf where I[r] > J[c] (I, J sorted)."""
-        x_in = self.S[J][None, :] - self.S[I - 1][:, None]
-        n_in = J[None, :] - I[:, None] + 1
-        if I[-1] <= J[0]:
-            return self._values(x_in, n_in)
-        below = n_in <= 0  # counts of i > j would index outside the table: use stand-ins
-        x_in[below], n_in[below] = 0, 1
-        v = self._values(x_in, n_in)
-        v[below] = -np.inf
-        return v
+    def objective_sweep(self, f: int) -> np.ndarray:
+        """``objective`` of [min(f, a), max(f, a)] for every a of the window, in order of a.
+
+        Starts below f pair with the end f and ends from f on with the start f,
+        so the case counts are two contiguous prefix-sum slices and the widths
+        two aranges.  In order of a the intervals are in lexicographic (i, j)
+        order, so the first maximum is ``_argbest``'s pick.
+        """
+        lo, hi, S = self.lo, self.hi, self.S
+        x_in = np.concatenate((S[f] - S[lo - 1 : f - 1], S[f : hi + 1] - S[f - 1]))
+        n_in = np.concatenate((np.arange(f - lo + 1, 1, -1), np.arange(1, hi - f + 2)))
+        out = np.empty(x_in.size)
+        for k in range(0, x_in.size, self.CHUNK):
+            sl = slice(k, k + self.CHUNK)
+            out[sl] = self._values(x_in[sl], n_in[sl])
+        return out
 
     def _objective_block(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
         return self._values(self.S[J] - self.S[I - 1], J - I + 1)

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqscan import StatKernel, cbs_segment, exhaustive_scan, glr, iterative_grid_scan, score
-from seqscan.segment import _argbest, _better, _coord_refine, _dense_cut, _refine
+from seqscan import segment
+from seqscan.segment import (_argbest, _argbest_diverse, _better, _coord_refine, _dense_cut,
+                             _refine_lockstep, _score_boxes)
 
 from conftest import bernoulli_process, proc_from_z
 
@@ -117,6 +119,33 @@ class TestIterativeGridScan:
         with pytest.raises(ValueError):
             iterative_grid_scan(proc_from_z([1, 0, 1, 0]), "glr", 1, 4, grid_step=1)
 
+    @pytest.mark.parametrize("stat", ["score", "glr"])
+    def test_one_objective_call_per_refinement_round(self, stat, monkeypatch):
+        # the candidates of a scan walk in lockstep: one objective call per round,
+        # as many rounds as the longest walk, where separate walks make one per box
+        idx = np.arange(20000)
+        p = np.where((idx >= 4000) & (idx < 4600), 0.7, np.where(idx >= 15000, 0.4, 0.5))
+        proc = bernoulli_process(p, idx.size, 3)
+        refine, scans = segment._refine_lockstep, []
+
+        def counted(kernel, lo, hi, cands, spacings, G):
+            calls = []
+            objective = kernel.objective
+            kernel.objective = lambda I, J: calls.append(I.size) or objective(I, J)
+            out = refine(kernel, lo, hi, cands, spacings, G)
+            del kernel.objective
+            walks = [[] for _ in cands]
+            for c, g, walk in zip(cands, spacings, walks):
+                refine_reference(kernel, lo, hi, c, g, G, walk)
+            scans.append((len(calls), max(map(len, walks)), sum(map(len, walks))))
+            return out
+
+        monkeypatch.setattr(segment, "_refine_lockstep", counted)
+        cbs_segment(proc, stat, 10, max_k=6)
+        assert len(scans) >= 3
+        for calls, rounds, boxes in scans:
+            assert calls == rounds < boxes
+
 
 def coord_refine_every_round(kernel, lo, hi, cand, rounds=2):
     """Coordinate sweeps that run every round, moved or not (reference)."""
@@ -164,23 +193,44 @@ def test_coord_refine_early_stop_matches_every_round():
 
 
 
-def refine_reference(kernel, lo, hi, cand, spacing, G):
-    """_refine scoring each box as flattened (i, j) pairs with i <= j (reference)."""
+def box_axes(lo, hi, bi, bj, s, G):
+    """Starts and ends of one refinement box around (bi, bj) at step s, clipped to [lo, hi]."""
+    if s <= _dense_cut(G):
+        off = np.arange(-s, s + 1, dtype=np.int64)
+    else:
+        step = max(1, s // G)
+        off = np.unique(np.concatenate([np.arange(-s, s + 1, step), [s]])).astype(np.int64)
+    return np.clip(bi + off, lo, hi), np.clip(bj + off, lo, hi)
+
+
+def argbest_diverse_reference(I, J, v, k, radius):
+    """_argbest_diverse rerunning _argbest on the gathered survivors each round (reference)."""
+    out = []
+    alive = np.ones(v.size, dtype=bool)
+    for _ in range(k):
+        if not alive.any():
+            break
+        ci, cj, cv = _argbest(I[alive], J[alive], v[alive])
+        out.append((ci, cj, cv))
+        alive &= ~((np.abs(I - ci) < radius) & (np.abs(J - cj) < radius))
+    return out
+
+
+def refine_reference(kernel, lo, hi, cand, spacing, G, walk=None):
+    """One candidate's walk, scoring each box as flattened (i, j) pairs with i <= j (reference).
+
+    Each box scored is appended to ``walk`` when given.
+    """
     best = cand
     s = max(1, spacing)
     while True:
-        if s <= _dense_cut(G):
-            off = np.arange(-s, s + 1, dtype=np.int64)
-        else:
-            step = max(1, s // G)
-            off = np.unique(np.concatenate([np.arange(-s, s + 1, step), [s]])).astype(np.int64)
-        bi, bj, _ = best
-        Ii = np.unique(np.clip(bi + off, lo, hi))
-        Jj = np.unique(np.clip(bj + off, lo, hi))
+        Ii, Jj = (np.unique(axis) for axis in box_axes(lo, hi, best[0], best[1], s, G))
         I = np.repeat(Ii, Jj.size)
         J = np.tile(Jj, Ii.size)
         keep = I <= J
         I, J = I[keep], J[keep]
+        if walk is not None:
+            walk.append(I.size)
         i2, j2, v2 = _argbest(I, J, kernel.objective(I, J))
         if _better(i2, j2, v2, best):
             best = (i2, j2, v2)
@@ -189,6 +239,21 @@ def refine_reference(kernel, lo, hi, cand, spacing, G):
             break
         s = max(1, s // 2)
     return best
+
+
+def draw_refine_batch(data, kernel, lo, hi, G):
+    """One lockstep batch: candidates with dense and coarse spacings mixed."""
+    cut = _dense_cut(G)
+    cands, spacings = [], []
+    for _ in range(data.draw(st.integers(1, 6))):
+        i = data.draw(st.integers(lo, hi))
+        # narrow candidates make boxes straddle i > j; wide ones reach both edges
+        j = data.draw(st.one_of(st.integers(i, min(hi, i + 3)), st.integers(i, hi)))
+        cands.append((i, j, kernel_objective(kernel, i, j)))
+        # the dense cut itself is the last spacing scanned with step 1
+        spacings.append(data.draw(st.one_of(st.integers(1, cut), st.sampled_from([cut, cut + 1]),
+                                            st.integers(cut + 1, 4 * cut + 40))))
+    return cands, spacings
 
 
 @st.composite
@@ -222,28 +287,56 @@ class TestScanKernelsMatchReferences:
     def test_refine_matches_flattened_boxes(self, window, stat, G, data):
         proc, lo, hi = window
         kernel = StatKernel(proc, stat, lo, hi)
-        i = data.draw(st.integers(lo, hi))
-        # narrow candidates make boxes straddle i > j; wide ones reach both edges
-        j = data.draw(st.one_of(st.integers(i, min(hi, i + 3)), st.integers(i, hi)))
-        cut = _dense_cut(G)
-        spacing = data.draw(st.one_of(st.integers(1, cut), st.integers(cut + 1, 4 * cut + 40)))
-        cand = (i, j, kernel_objective(kernel, i, j))
-        assert _refine(kernel, lo, hi, cand, spacing, G) == refine_reference(
-            kernel, lo, hi, cand, spacing, G)
+        cands, spacings = draw_refine_batch(data, kernel, lo, hi, G)
+        want = [refine_reference(kernel, lo, hi, c, g, G) for c, g in zip(cands, spacings)]
+        assert _refine_lockstep(kernel, lo, hi, cands, spacings, G) == want
 
     @settings(max_examples=100, deadline=None)
-    @given(scan_windows(), st.sampled_from(["score", "glr"]), st.data())
-    def test_objective_box_matches_objective(self, window, stat, data):
+    @given(scan_windows(), st.sampled_from(["score", "glr"]), st.integers(2, 16), st.data())
+    def test_objective_box_matches_objective(self, window, stat, G, data):
         proc, lo, hi = window
         kernel = StatKernel(proc, stat, lo, hi)
-        axis = st.lists(st.integers(lo, hi), min_size=1, max_size=12, unique=True).map(sorted)
-        Ii, Jj = (np.array(data.draw(axis), dtype=np.int64) for _ in range(2))
-        v = kernel.objective_box(Ii, Jj)
-        I, J = np.repeat(Ii, Jj.size), np.tile(Jj, Ii.size)
+        cands, spacings = draw_refine_batch(data, kernel, lo, hi, G)
+        bi, bj = (np.array([c[k] for c in cands], dtype=np.int64) for k in range(2))
+        I, J, v, first = _score_boxes(kernel, lo, hi, bi, bj, np.array(spacings), G)
+        # each box on its own: the outer product of its clipped start and end axes
+        boxes = [box_axes(lo, hi, c[0], c[1], g, G) for c, g in zip(cands, spacings)]
+        sizes = [Ii.size * Jj.size for Ii, Jj in boxes]
+        assert first.tolist() == np.cumsum([0] + sizes[:-1]).tolist()
+        assert np.array_equal(I, np.concatenate([np.repeat(Ii, Jj.size) for Ii, Jj in boxes]))
+        assert np.array_equal(J, np.concatenate([np.tile(Jj, Ii.size) for Ii, Jj in boxes]))
         keep = I <= J
         want = np.full(I.size, -np.inf)
         want[keep] = kernel.objective(I[keep], J[keep])
-        assert np.array_equal(v.ravel(), want)
+        assert np.array_equal(v, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_argbest_diverse_matches_gathering_reference(self, data):
+        n = data.draw(st.integers(1, 40))
+        pairs = st.tuples(st.integers(1, 30), st.integers(0, 30)).map(lambda p: (p[0], p[0] + p[1]))
+        I, J = np.array(data.draw(st.lists(pairs, min_size=n, max_size=n)), dtype=np.int64).T
+        # few distinct values make ties; -inf entries can be all that survives a round
+        v = np.array(data.draw(st.lists(st.sampled_from([-np.inf, 0.0, 1.0, 2.5]),
+                                        min_size=n, max_size=n)))
+        k, radius = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8))
+        assert _argbest_diverse(I, J, v, k, radius) == argbest_diverse_reference(I, J, v, k, radius)
+
+    @settings(max_examples=150, deadline=None)
+    @given(scan_windows(), st.sampled_from(["score", "glr"]), st.sampled_from([None, 1, 7]),
+           st.data())
+    def test_sweep_matches_objective(self, window, stat, chunk, data):
+        proc, lo, hi = window
+        kernel = StatKernel(proc, stat, lo, hi)
+        if chunk is not None:
+            kernel.CHUNK = chunk  # blocks split the two slices anywhere
+        f = data.draw(st.one_of(st.just(lo), st.just(hi), st.integers(lo, hi)))
+        v = kernel.objective_sweep(f)
+        axis = np.arange(lo, hi + 1, dtype=np.int64)
+        I, J = np.minimum(f, axis), np.maximum(f, axis)
+        assert np.array_equal(v, StatKernel(proc, stat, lo, hi).objective(I, J))
+        k = int(np.argmax(v))
+        assert _argbest(I, J, v) == (int(I[k]), int(J[k]), float(v[k]))
 
     @settings(max_examples=100, deadline=None)
     @given(scan_windows(max_m=200), st.sampled_from(["score", "glr"]), st.data())
@@ -257,12 +350,12 @@ class TestScanKernelsMatchReferences:
         rounds = data.draw(st.integers(1, 3))
         cands = [(min(p), max(p), kernel_objective(kernel, min(p), max(p))) for p in pairs]
         want = [coord_refine_every_round(kernel, lo, hi, c, rounds) for c in cands]
-        sweeps = []
-        objective = kernel.objective
-        kernel.objective = lambda I, J: sweeps.append(I.size) or objective(I, J)
+        anchors = []
+        sweep = kernel.objective_sweep
+        kernel.objective_sweep = lambda f: anchors.append(f) or sweep(f)
         swept = {}
         assert [_coord_refine(kernel, lo, hi, c, swept, rounds) for c in cands] == want
-        assert len(sweeps) == len(swept)
+        assert sorted(anchors) == sorted(swept)
 
     @settings(max_examples=150, deadline=None)
     @given(scan_windows(), st.sampled_from(["score", "glr"]), st.data())

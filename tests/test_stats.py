@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from seqscan import StatKernel, glr, score
+from seqscan.stats import xlogx_table
 from seqscan.segment import _argbest
 
 from conftest import bernoulli_process, proc_from_z
@@ -201,6 +202,19 @@ class TestStatKernel:
                     # for one width the first maximum is _argbest's lexicographic pick
                     k = int(np.argmax(v))
                     assert _argbest(I, I + d, v) == (lo + k, lo + k + d, float(v[k]))
+
+    def test_shared_xlogx_table(self):
+        # a chromosome-long table serves every window bit for bit
+        proc = bernoulli_process(0.4, 500, seed=8)
+        table = xlogx_table(proc.m)
+        assert np.array_equal(table, [0.0] + [k * math.log(k) for k in range(1, 501)])
+        rng = np.random.default_rng(9)
+        for lo, hi in [(1, 500), (1, 2), (499, 500), (37, 240)]:
+            I = rng.integers(lo, hi + 1, 200)
+            J = np.maximum(I, rng.integers(lo, hi + 1, 200))
+            own, shared = (StatKernel(proc, "glr", lo, hi, x) for x in (None, table))
+            assert np.array_equal(own.objective(I, J), shared.objective(I, J))
+            assert np.array_equal(own.objective_sweep(lo), shared.objective_sweep(lo))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
