@@ -16,7 +16,6 @@ import math
 import operator
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -211,7 +210,10 @@ def _run_chromosomes(args: argparse.Namespace, with_band: bool):
 
     Chromosomes are independent, so with a worker count (``_thread_count``)
     above 1 they run in up to that many worker processes, one chromosome per
-    task; a single worker or chromosome runs in this process.
+    task; a single worker or chromosome runs in this process.  Only a pool
+    imports ``concurrent.futures.process`` (multiprocessing and socket, about
+    13 ms), and a band's pool imports ``scipy.special`` first, so that every
+    forked worker inherits it instead of loading it again.
     """
     threads = _thread_count(args)
     pairs = _load_pair(args.case, args.control, args.reads)
@@ -228,6 +230,11 @@ def _run_chromosomes(args: argparse.Namespace, with_band: bool):
     if workers <= 1:
         results = [_segment_one(*job, args, with_band) for job in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        if with_band:
+            import scipy.special  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [pool.submit(_segment_one, *job, args, with_band) for job in jobs]
             results = [fut.result() for fut in futs]

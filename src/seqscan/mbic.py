@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .process import CombinedProcess, segment_bounds
 from .segment import ChangePointSequence
+from .stats import _xlogx
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,8 @@ def log_glr_full(process: CombinedProcess, taus) -> float:
     for start, end in segment_bounds(taus, m):
         n = end - start + 1
         x = process.case_count(start, end)
-        ll += xlogy(x, x) + xlogy(n - x, n - x) - xlogy(n, n)
-    null = xlogy(process.m1, process.m1) + xlogy(process.m2, process.m2) - xlogy(m, m)
+        ll += _xlogx(x) + _xlogx(n - x) - _xlogx(n)
+    null = _xlogx(process.m1) + _xlogx(process.m2) - _xlogx(m)
     return float(ll - null)
 
 

@@ -14,9 +14,11 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaln, gammaln, ndtri
 
 from .process import CombinedProcess, InputError, distinct_sorted, segment_bounds
+
+# scipy.special is imported inside the functions that call it: loading it takes
+# about 0.3 s, which commands that compute no band never need to spend.
 
 log = logging.getLogger(__name__)
 
@@ -94,6 +96,8 @@ def _check_prior(alpha: float, beta: float) -> None:
 
 
 def _log_beta(a, b):
+    from scipy.special import gammaln
+
     return gammaln(a) + gammaln(b) - gammaln(a + b)
 
 
@@ -107,6 +111,8 @@ def cp_likelihoods(
     long windows stay finite.  Candidates and data are restricted to
     [lo, hi] (default: the whole stream).
     """
+    from scipy.special import gammaln
+
     _check_prior(alpha, beta)
     hi = process.m if hi is None else hi
     if not (1 <= lo <= hi <= process.m):
@@ -178,6 +184,8 @@ def _beta_cdf(a, b, x):
 
     There betainc is off by up to 2.8e-9 (at 1 - 2**-53), the reflection by 3e-17.
     """
+    from scipy.special import betainc
+
     half = (np.asarray(a) == 0.5) & (np.asarray(b) == 0.5)
     if not half.any():
         return betainc(a, b, x)
@@ -203,6 +211,8 @@ def _chains(a, b):
     Returns log B(a, b), the root indices, the factor 1 / b of each link's
     term (0 before a root) and the error bound.
     """
+    from scipy.special import betaln, gammaln
+
     log_norm = betaln(a, b)
     a0, b0 = a[:-1], b[:-1]
     size = (np.abs(gammaln(a0)) + np.abs(gammaln(b0)) + np.abs(gammaln(a0 + b0))
@@ -244,6 +254,8 @@ def _chained_cdf(a, b, chains, x):
 
 def _newton_quantiles(weights, a, b, levels, chains):
     """One batch of ``_mixture_quantiles``: the quantiles and how many missed the tolerance."""
+    from scipy.special import ndtri
+
     n_rows = weights.shape[0]
     row = np.repeat(np.arange(n_rows), levels.size)
     q = np.tile(levels, n_rows)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .process import CombinedProcess
 
@@ -72,18 +71,23 @@ def _glr_lambda(xlogx, x_in, n_in, m1: int, m: int):
     )
 
 
-def _xlogx(k):
-    """k*log(k) with 0*log(0) = 0, for a count or an array of counts."""
-    return xlogy(k, k)
+def _xlogx(k) -> float:
+    """k*log(k) of one count, with 0*log(0) = 0: the entry k of ``xlogx_table``."""
+    return k * math.log(k) if k else 0.0
 
 
 def xlogx_table(m: int) -> np.ndarray:
     """k*log(k) of every count k = 0..m: the table a likelihood-ratio kernel indexes.
 
+    Each entry is float(k) times libm's log(k), taken through ``math.log`` as
+    in ``_xlogx``: the same bits as scipy.special.xlogy(k, k).  numpy's own log
+    differs from libm's in the last bit on a few integers, so it is not used.
     Its values do not depend on the window, so one table of a chromosome's
     length serves every ``StatKernel`` on it.
     """
-    return _xlogx(np.arange(m + 1, dtype=np.float64))
+    table = np.arange(m + 1, dtype=np.float64)
+    table[1:] *= np.fromiter(map(math.log, range(1, m + 1)), np.float64, m)
+    return table
 
 
 def interval_score(S: np.ndarray, lo: int, hi: int, i: int, j: int) -> IntervalStat:

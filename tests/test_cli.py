@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import os
 from concurrent.futures import Future
@@ -289,7 +290,8 @@ class TestSegmentCommand:
                 fut.set_result(fn(*args))
                 return fut
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        # _run_chromosomes looks the pool up in concurrent.futures when it forks
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         case, control = self.write_three_chromosomes(tmp_path)
         rc = cli.main([
             "mbic-curve", "--case", str(case), "--control", str(control),
@@ -535,6 +537,43 @@ def test_cli_import_skips_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.split() == ["False"]
+
+
+@pytest.mark.parametrize("command,threads", [
+    (None, 1), ("mbic-curve", 1), ("mbic-curve", 2), ("segment", 1), ("segment", 2),
+])
+def test_only_the_band_loads_scipy(tmp_path, command, threads):
+    # scipy.special takes about 0.3 s to load: importing the CLI and running
+    # mbic-curve load no scipy module; segment's band loads scipy.special, in the
+    # parent process too when workers are forked, so that they inherit it
+    import json
+    import subprocess
+    import sys
+
+    rng = np.random.default_rng(11)
+    case, control = tmp_path / "case.tsv", tmp_path / "control.tsv"
+    for path, gained in ((case, 300), (control, 100)):
+        with open(path, "w") as fh:
+            for chrom in ("chr1", "chr2"):
+                pos = np.concatenate([rng.integers(0, 10**5, 300),
+                                      rng.integers(0, 2 * 10**4, gained)])
+                fh.writelines(f"{chrom}\t{p}\n" for p in np.sort(pos))
+    argv = [command, "--case", str(case), "--control", str(control), "--out-dir",
+            str(tmp_path / "out"), "--threads", str(threads), "--max-k", "4"] if command else []
+    probe = ("import json, sys\n"
+             "from seqscan.cli import main\n"
+             "rc = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+             "print(json.dumps([rc, sorted(k for k in sys.modules if k.startswith('scipy'))]))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    rc, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert rc == 0
+    if command == "segment":
+        assert "scipy.special" in loaded
+    else:
+        assert loaded == []
 
 
 def test_flag_fuzz_exits_zero_or_two_with_one_line(tmp_path, capsys):

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import xlogy
 
 from seqscan import cbs_segment, log_glr_full, mbic, select_k
+from seqscan.process import segment_bounds
 from seqscan.segment import ChangePointSequence, ScanStep
 
 from conftest import bernoulli_process, proc_from_z
@@ -31,6 +35,38 @@ def mbic_reference(Z, taus, W=None):
     penalty = 0.5 * sum(math.log(b - a) for a, b in zip(bounds, bounds[1:]))
     m_prime = len(set(W))
     return llr - penalty + 0.5 * math.log(m) - len(taus) * math.log(m_prime)
+
+
+def log_glr_full_xlogy(process, taus):
+    """``log_glr_full`` with scipy's xlogy for every k*log(k): the bit-level reference."""
+    ll = 0.0
+    for start, end in segment_bounds(taus, process.m):
+        n = end - start + 1
+        x = process.case_count(start, end)
+        ll += xlogy(x, x) + xlogy(n - x, n - x) - xlogy(n, n)
+    m1, m2, m = process.m1, process.m2, process.m
+    return float(ll - (xlogy(m1, m1) + xlogy(m2, m2) - xlogy(m, m)))
+
+
+def mbic_xlogy(process, taus):
+    """``mbic`` on top of ``log_glr_full_xlogy``."""
+    bounds = [1] + list(taus) + [process.m]
+    penalty = 0.5 * sum(math.log(b - a) for a, b in zip(bounds, bounds[1:]))
+    return (log_glr_full_xlogy(process, taus) - penalty + 0.5 * math.log(process.m)
+            - len(taus) * math.log(process.m_prime))
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(3, 30_000), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       cuts=st.lists(st.floats(0.0, 1.0), max_size=8))
+# a first segment of 9,170 or 19,143 reads: numpy's log differs from libm's there
+@example(m=9_500, p=0.5, seed=1, cuts=[9_169 / 9_497])
+@example(m=20_000, p=0.3, seed=2, cuts=[19_142 / 19_997, 0.999])
+def test_criterion_matches_xlogy_reference_bit_for_bit(m, p, seed, cuts):
+    proc = bernoulli_process(p, m, seed)
+    taus = sorted({2 + round(c * (m - 3)) for c in cuts})
+    assert log_glr_full(proc, taus).hex() == log_glr_full_xlogy(proc, taus).hex()
+    assert mbic(proc, taus).hex() == mbic_xlogy(proc, taus).hex()
 
 
 class TestLogGlrFull:

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from seqscan import StatKernel, glr, score
-from seqscan.stats import xlogx_table
+from seqscan.stats import _xlogx, xlogx_table
 from seqscan.segment import _argbest
 
 from conftest import bernoulli_process, proc_from_z
@@ -219,3 +220,24 @@ class TestStatKernel:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             StatKernel(proc_from_z([1, 0]), "wat")
+
+
+class TestXlogx:
+    """k*log(k) from libm's log, checked against scipy's xlogy as the oracle."""
+
+    def test_table_is_xlogy_bit_for_bit(self):
+        # numpy's log (2.4, AVX-512) differs from libm's in the last bit on some
+        # integers of this range (9170 is one), so a k * np.log(k) table fails here
+        m = 3_000_000
+        k = np.arange(m + 1, dtype=np.float64)
+        assert np.array_equal(xlogx_table(m).view(np.int64), xlogy(k, k).view(np.int64))
+
+    def test_scalar_is_the_table_entry(self):
+        m = 200_000
+        table = xlogx_table(m)
+        ks = [0, 1, 2, 3, 9170, 19143, 94869, 102327, 136085, m - 1, m]
+        ks += np.random.default_rng(4).integers(0, m + 1, 500).tolist()
+        for k in ks:
+            want = float(table[k]).hex()
+            for count in (k, np.int64(k), np.int32(k)):
+                assert float(_xlogx(count)).hex() == want
