@@ -84,9 +84,6 @@ def _number(kind, **bounds):
     return parse
 
 
-_THREADS = _number(int, ge=1)
-
-
 def _fmt(x) -> str:
     if isinstance(x, float):
         if math.isinf(x):
@@ -194,28 +191,16 @@ def _segment_one(chrom: str, case: ReadSet, control: ReadSet, args: argparse.Nam
     return curve, segments, band
 
 
-def _thread_count(args: argparse.Namespace) -> int:
-    """--threads, or SEQSCAN_THREADS when that is set: the variable overrides the flag."""
-    env = os.environ.get("SEQSCAN_THREADS")
-    if not env:
-        return args.threads
-    try:
-        return _THREADS(env)
-    except argparse.ArgumentTypeError as exc:
-        raise InputError(f"SEQSCAN_THREADS: {exc}") from None
-
-
 def _run_chromosomes(args: argparse.Namespace, with_band: bool):
     """(chrom, curve, segments, band) of every chromosome, in sorted chromosome order.
 
-    Chromosomes are independent, so with a worker count (``_thread_count``)
-    above 1 they run in up to that many worker processes, one chromosome per
-    task; a single worker or chromosome runs in this process.  Only a pool
-    imports ``concurrent.futures.process`` (multiprocessing and socket, about
-    13 ms), and a band's pool imports ``scipy.special`` first, so that every
-    forked worker inherits it instead of loading it again.
+    Chromosomes are independent, so with ``--threads`` above 1 they run in up
+    to that many worker processes, one chromosome per task; a single worker
+    or chromosome runs in this process.  Only a pool imports
+    ``concurrent.futures.process`` (multiprocessing and socket, about 13 ms),
+    and a band's pool imports ``scipy.special`` first, so that every forked
+    worker inherits it instead of loading it again.
     """
-    threads = _thread_count(args)
     pairs = _load_pair(args.case, args.control, args.reads)
     jobs = []
     for chrom, (case, control) in pairs.items():
@@ -226,7 +211,7 @@ def _run_chromosomes(args: argparse.Namespace, with_band: bool):
             )
             continue
         jobs.append((chrom, case, control))
-    workers = min(threads, len(jobs))
+    workers = min(args.threads, len(jobs))
     if workers <= 1:
         results = [_segment_one(*job, args, with_band) for job in jobs]
     else:
@@ -332,7 +317,8 @@ def run_simulate(args: argparse.Namespace) -> int:
 
 def _read_truth(path: str) -> dict[str, list[int]]:
     """Truth TSV -> per-chromosome sorted breakpoint positions (bp)."""
-    table = read_tsv(path, TRUTH_COLUMNS, {"start_bp": None, "end_bp": None})
+    span = (0, MAX_POSITION)
+    table = read_tsv(path, TRUTH_COLUMNS, {"start_bp": span, "end_bp": span})
     return {chrom: np.sort(np.concatenate([cols["start_bp"], cols["end_bp"]])).tolist()
             for chrom, cols in table.items()}
 
@@ -407,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--grid-step", type=_number(int, ge=2), default=10,
                       help="grid refinement factor G")
     scan.add_argument("--max-k", type=_number(int, ge=1), default=50)
-    scan.add_argument("--threads", type=_THREADS, default=1,
-                      help="worker processes (SEQSCAN_THREADS overrides)")
+    scan.add_argument("--threads", type=_number(int, ge=1), default=1,
+                      help="worker processes")
 
     ap = _Parser(prog="seqscan", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)

@@ -64,9 +64,8 @@ def select_k(process: CombinedProcess, sequence: ChangePointSequence):
     added two change points contributes two prefixes).  Ties go to the
     smaller K.  Returns (k_hat, MbicCurve, selected sorted change points).
     """
-    order = sequence.insertion_order()
-    values = np.empty(len(order) + 1)
-    for k in range(len(order) + 1):
-        values[k] = mbic(process, sorted(order[:k]))
+    values = np.empty(sequence.n_taus + 1)
+    for k in range(values.size):
+        values[k] = mbic(process, sequence.taus_at(k))
     k_hat = int(np.argmax(values))
-    return k_hat, MbicCurve(values=values, k_hat=k_hat), sorted(order[:k_hat])
+    return k_hat, MbicCurve(values=values, k_hat=k_hat), sequence.taus_at(k_hat)

@@ -55,17 +55,8 @@ class ChangePointSequence:
         return sum(len(step.taus_added) for step in self.steps)
 
 
-def _argbest(I: np.ndarray, J: np.ndarray, v: np.ndarray):
-    """Max objective with deterministic lexicographic (i, j) tie-break."""
-    vmax = v.max()
-    mask = v == vmax
-    Im, Jm = I[mask], J[mask]
-    k = np.lexsort((Jm, Im))[0]
-    return int(Im[k]), int(Jm[k]), float(vmax)
-
-
 def _argbest_diverse(I: np.ndarray, J: np.ndarray, v: np.ndarray, k: int, radius: int):
-    """Up to k well-separated top candidates (same tie-break as _argbest)."""
+    """Up to k well-separated top candidates, ties broken by smallest (i, j)."""
     out = []
     alive = np.ones(v.size, dtype=bool)
     for _ in range(k):
@@ -91,6 +82,24 @@ def _better(i, j, v, best):
     return v > bv or (v == bv and (i, j) < (bi, bj))
 
 
+def _best_of_widths(kernel: StatKernel, lo: int, n_widths: int):
+    """Best (i, j, objective) among the window's intervals of widths 1..n_widths.
+
+    One ``objective_width`` pass per width: its first maximum is the width's
+    smallest-i tie, and ``_better`` keeps the winner across widths, so the
+    pick is the highest objective with the lexicographically smallest (i, j)
+    in linear memory.
+    """
+    best = None
+    for d in range(n_widths):
+        v = kernel.objective_width(d)
+        k = int(np.argmax(v))
+        cand = (lo + k, lo + k + d, float(v[k]))
+        if _better(*cand, best):
+            best = cand
+    return best
+
+
 def _check_region(process: CombinedProcess, lo: int, hi: int) -> None:
     if not (1 <= lo and hi <= process.m):
         raise ValueError(f"region [{lo}, {hi}] outside [1, {process.m}]")
@@ -100,21 +109,17 @@ def exhaustive_scan(process: CombinedProcess, stat_kind: str, lo: int, hi: int,
                     xlogx: np.ndarray | None = None) -> ScanResult:
     """Evaluate every interval with lo <= i <= j <= hi and return the argmax.
 
-    The region is scanned as its own sequence, so the full-range interval is
-    skipped for the likelihood-ratio statistic (it has no outside reads).  A
-    region narrower than 2 reads yields an empty result.  ``xlogx`` is passed
-    to ``StatKernel``.
+    The intervals are scored one width at a time (``_best_of_widths``), so
+    memory stays linear in the region.  The region is scanned as its own
+    sequence, so the full-range interval is skipped for the likelihood-ratio
+    statistic (it has no outside reads).  A region narrower than 2 reads
+    yields an empty result.  ``xlogx`` is passed to ``StatKernel``.
     """
     _check_region(process, lo, hi)
     if hi - lo < 1:
         return ScanResult(best=None, objective=float("-inf"))
     kernel = StatKernel(process, stat_kind, lo, hi, xlogx)
-    n = hi - lo + 1
-    ii, jj = np.triu_indices(n)
-    I = ii.astype(np.int64) + lo
-    J = jj.astype(np.int64) + lo
-    v = kernel.objective(I, J)
-    i, j, obj = _argbest(I, J, v)
+    i, j, obj = _best_of_widths(kernel, lo, hi - lo + 1)
     return ScanResult(best=kernel.stat(i, j), objective=obj)
 
 
@@ -233,7 +238,7 @@ def _refine_lockstep(kernel: StatKernel, lo: int, hi: int, cands, spacings, G: i
     """Walk every candidate interval to a local argmax with shrinking step sizes.
 
     The walks advance in lockstep, one ``_score_boxes`` batch per round.  A
-    box's axes are sorted, so its first maximum is ``_argbest``'s pick.  A
+    box's axes are sorted, so its first maximum is its smallest (i, j) tie.  A
     candidate moves there when it is ``_better``, else halves s; it stops
     after a box at s = 1 that does not move it.
     """
@@ -264,9 +269,9 @@ def _coord_refine(kernel: StatKernel, lo: int, hi: int, cand, swept: dict, round
     Each sweep holds one endpoint fixed and moves the other across the full
     axis (endpoints swap roles when they cross), so every sweep evaluates the
     region once (``StatKernel.objective_sweep``), and its plain argmax is
-    ``_argbest``'s pick.  A sweep's result depends only on its fixed endpoint,
-    so ``swept`` keeps it by endpoint across a scan's candidates.  The sweeps
-    stop after a round that leaves the candidate unchanged.
+    the smallest (i, j) tie.  A sweep's result depends only on its fixed
+    endpoint, so ``swept`` keeps it by endpoint across a scan's candidates.
+    The sweeps stop after a round that leaves the candidate unchanged.
     """
     best = cand
     for _ in range(rounds):
@@ -303,24 +308,15 @@ def iterative_grid_scan(process: CombinedProcess, stat_kind: str, lo: int, hi: i
     _check_region(process, lo, hi)
     n = hi - lo + 1
     plan = _ladder_plan(n, G)
-    # the grid degenerates to all pairs whenever it would cost as much anyway
-    # (and exhaustive_scan returns the empty result for a region of one read)
-    if n <= 3 * G or _grid_work_estimate(n, G, plan) >= n * (n + 1) // 2:
+    # the grid degenerates to all pairs whenever it would cost as much anyway; its
+    # dense term alone, n * n, does so at n <= 3 * G (and exhaustive_scan returns
+    # the empty result for a region of one read)
+    if _grid_work_estimate(n, G, plan) >= n * (n + 1) // 2:
         return exhaustive_scan(process, stat_kind, lo, hi, xlogx)
 
     kernel = StatKernel(process, stat_kind, lo, hi, xlogx)
-    level_best: list[tuple] = []
-
-    # dense sweep of all small widths, batched per width; argmax takes the first
-    # maximum, the smallest i, as _argbest does among intervals of one width
-    small = None
-    for d in range(0, min(3 * G, n)):
-        v = kernel.objective_width(d)
-        k = int(np.argmax(v))
-        cand = (lo + k, lo + k + d, float(v[k]))
-        if _better(*cand, small):
-            small = cand
-    level_best.append((small, 1))
+    # dense sweep of all small widths
+    level_best = [(_best_of_widths(kernel, lo, min(3 * G, n)), 1)]
 
     for w, floor, g in plan:
         I, J = _level_pairs(lo, hi, w, floor, g)
@@ -329,15 +325,16 @@ def iterative_grid_scan(process: CombinedProcess, stat_kind: str, lo: int, hi: i
             level_best.append((cand, g))
 
     refined = _refine_lockstep(kernel, lo, hi, *zip(*level_best), G)
+    # in _better's order: a candidate after the fourth cannot beat the first's sweep
     refined.sort(key=lambda c: (-c[2], c[0], c[1]))
     # the full-range seed catches argmaxes hugging both region edges
-    refined.append((lo, hi, float(kernel.objective(np.array([lo]), np.array([hi]))[0])))
+    full = (lo, hi, float(kernel.objective(np.array([lo]), np.array([hi]))[0]))
 
     best = None
     swept: dict[int, tuple] = {}
-    for k, cand in enumerate(refined):
-        r = _coord_refine(kernel, lo, hi, cand, swept) if k < 4 or k == len(refined) - 1 else cand
-        if _better(r[0], r[1], r[2], best):
+    for cand in refined[:4] + [full]:
+        r = _coord_refine(kernel, lo, hi, cand, swept)
+        if _better(*r, best):
             best = r
 
     i, j, obj = best
@@ -368,30 +365,23 @@ def cbs_segment(
 
     # one x*log(x) table serves every region's likelihood-ratio kernel
     xlogx = xlogx_table(m) if stat_kind == "glr" else None
-    regions: list[tuple[int, int]] = [(1, m)]
-    cache: dict[tuple[int, int], tuple | None] = {}
+    # every region of the partition -> its best (i, j, objective), or None once retired;
+    # (objective, -start) orders the regions totally, so the dict's order never matters
+    found: dict[tuple[int, int], tuple | None] = {}
+    parts = [(1, m)]
     n_taus = 0
 
     while n_taus < max_k:
-        for reg in regions:
-            if reg in cache:
-                continue
-            a, b = reg
-            if b - a < 1:
-                cache[reg] = None
-                continue
+        for a, b in parts:
             res = iterative_grid_scan(process, stat_kind, a, b, grid_step, xlogx)
-            if res.best is None:
-                cache[reg] = None
-            else:
-                cache[reg] = (res.best.i, res.best.j, res.objective)
+            found[a, b] = None if res.best is None else (res.best.i, res.best.j, res.objective)
+        parts = []
 
-        live = [(reg, cache[reg]) for reg in regions if cache[reg] is not None]
+        live = [(reg, cand) for reg, cand in found.items() if cand is not None]
         if not live:
             break
-        reg, cand = max(live, key=lambda rc: (rc[1][2], -rc[0][0]))
+        reg, (i, j, obj) = max(live, key=lambda rc: (rc[1][2], -rc[0][0]))
         a, b = reg
-        i, j, obj = cand
         if obj <= 0.0:
             break
 
@@ -402,17 +392,14 @@ def cbs_segment(
             new_taus.append(j + 1)
         new_taus = new_taus[: max_k - n_taus]
         if not new_taus:
-            cache[reg] = None  # interval spans the region: nothing left to split
+            found[reg] = None  # interval spans the region: nothing left to split
             continue
 
         steps.append(ScanStep(taus_added=tuple(new_taus), region=reg, objective=obj))
         n_taus += len(new_taus)
 
         bounds = [a] + sorted(new_taus) + [b + 1]
+        del found[reg]
         parts = [(s, e - 1) for s, e in zip(bounds, bounds[1:]) if s <= e - 1]
-        regions.remove(reg)
-        del cache[reg]
-        regions.extend(parts)
-        regions.sort()
 
     return ChangePointSequence(steps=steps, m=m)

@@ -168,7 +168,6 @@ class StatKernel:
         if stat_kind not in _INTERVAL_STAT:
             raise ValueError(f"unknown statistic {stat_kind!r}")
         hi = process.m if hi is None else hi
-        self.process = process
         self.stat_kind = stat_kind
         self.lo = lo
         self.hi = hi
@@ -211,7 +210,7 @@ class StatKernel:
         Starts below f pair with the end f and ends from f on with the start f,
         so the case counts are two contiguous prefix-sum slices and the widths
         two aranges.  In order of a the intervals are in lexicographic (i, j)
-        order, so the first maximum is ``_argbest``'s pick.
+        order, so the first maximum is the smallest (i, j) tie.
         """
         lo, hi, S = self.lo, self.hi, self.S
         x_in = np.concatenate((S[f] - S[lo - 1 : f - 1], S[f : hi + 1] - S[f - 1]))

@@ -33,6 +33,15 @@ def proc_from_z(Z, W=None, chromosome="chr1"):
     return CombinedProcess(W=np.asarray(W, dtype=np.int64), Z=Z, chromosome=chromosome)
 
 
+def argbest(I, J, v):
+    """Max objective with the lexicographically smallest (i, j) among its ties (reference)."""
+    vmax = v.max()
+    mask = v == vmax
+    Im, Jm = I[mask], J[mask]
+    k = np.lexsort((Jm, Im))[0]
+    return int(Im[k]), int(Jm[k]), float(vmax)
+
+
 def bernoulli_process(p, m, seed, W=None):
     """Labels drawn Bernoulli(p) per index; p may be a scalar or length-m array."""
     rng = np.random.default_rng(seed)

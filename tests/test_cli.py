@@ -141,6 +141,7 @@ class TestSegmentCommand:
         "calls_index_below_one_bp", "reads_above_bound", "huge_reads", "n_segments_above_bound",
         "min_seg_bp_below_one", "span_bins_above_bound", "control_bins_above_bound",
         "span_bp_above_max_position", "case_position_above_max", "layout_cannot_fit",
+        "truth_bp_negative", "truth_bp_above_max",
     ])
     def test_input_error_exit_code(self, tmp_path, capsys, monkeypatch, mistake):
         def no_sampling(*args, **kwargs):
@@ -155,6 +156,8 @@ class TestSegmentCommand:
             "".join(f"chr1\t{p}\t{('case', 'control')[p % 2]}\n" for p in range(400))
         )
         (tmp_path / "truth.tsv").write_text("chr1\t100\t200\t1.5\n")
+        (tmp_path / "neg_truth.tsv").write_text("chr1\t-5\t7\t1.5\n")
+        (tmp_path / "far_truth.tsv").write_text(f"chr1\t100\t{10**15 + 1}\t1.5\n")
         (tmp_path / "calls.tsv").write_text("chr1\t0\t399\t1\t400\t200\t200\t0.5\t1\n")
         (tmp_path / "bad_calls.tsv").write_text("chr1\t0\t399\tone\t400\t200\t200\t0.5\t1\n")
         # start_idx beyond the 400 merged reads, and at or below 0
@@ -206,6 +209,8 @@ class TestSegmentCommand:
                                                       "--bin-width", str(10**12)],
             "case_position_above_max": segment + ["--case", str(tmp_path / "beyond.tsv")],
             "layout_cannot_fit": simulate + ["--n-segments", str(10**5)],
+            "truth_bp_negative": evaluate + ["--truth", str(tmp_path / "neg_truth.tsv")],
+            "truth_bp_above_max": evaluate + ["--truth", str(tmp_path / "far_truth.tsv")],
         }[mistake]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err.splitlines()
@@ -300,16 +305,6 @@ class TestSegmentCommand:
         assert rc == 0
         assert requested == [3]
         assert len(list((tmp_path / "out").iterdir())) == 3
-
-    def test_env_var_overrides_threads(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SEQSCAN_THREADS", "not-a-number")
-        write_reads(tmp_path / "case.tsv", list(range(20)))
-        write_reads(tmp_path / "control.tsv", list(range(20)))
-        rc = cli.main([
-            "segment", "--case", str(tmp_path / "case.tsv"),
-            "--control", str(tmp_path / "control.tsv"), "--out-dir", str(tmp_path),
-        ])
-        assert rc == 2
 
 
 class TestBandWriter:

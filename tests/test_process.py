@@ -233,7 +233,11 @@ def reference_positions(path, label_mode=False):
 
 def reference_truth(path):
     out = {}
-    for _, (chrom, start, end, _) in reference_rows(path, cli.TRUTH_COLUMNS, ("start_bp", "end_bp")):
+    for lineno, (chrom, start, end, _) in reference_rows(path, cli.TRUTH_COLUMNS,
+                                                         ("start_bp", "end_bp")):
+        for name, bp in (("start_bp", start), ("end_bp", end)):
+            if not 0 <= bp <= MAX_POSITION:
+                raise InputError(f"{path}:{lineno}: {name} {bp} outside [0, {MAX_POSITION}]")
         out.setdefault(chrom, []).extend((start, end))
     return [(chrom, sorted(v)) for chrom, v in out.items()]
 
@@ -269,7 +273,8 @@ LAYOUTS = {
     "segments": (st.tuples(TEXT, TEXT, TEXT, INTS | st.just("9" * 30), *[TEXT] * 5), (3,),
                  lambda p: list(cli._read_segment_starts(p).items()), reference_segment_starts),
 }
-# one field replaced by: a non-integer, or an integer outside [0, MAX_POSITION], or a bad label
+# one field replaced by: a non-integer, or a position or truth start outside [0, MAX_POSITION],
+# or a bad label
 BAD_INTS = ["x", "1.5", "", "-", "1 2", "1:2", "3/4", "\u0663x", "1__0"]
 BAD_POSITIONS = ["-1", str(MAX_POSITION + 1), "1234567890123456789", "9" * 30]
 BAD_LABELS = ["tumor", "Case", "case ", ""]
@@ -285,7 +290,8 @@ def test_block_reader_matches_row_loop(tmp_path):
         layout = data.draw(st.sampled_from(sorted(LAYOUTS)))
         row_fields, int_cols, read_new, read_old = LAYOUTS[layout]
         rows = [list(r) for r in data.draw(st.lists(row_fields, max_size=40))]
-        defects = ["columns", "integer"] + (["range"] if layout in ("positions", "labeled") else [])
+        ranged = ("positions", "labeled", "truth")
+        defects = ["columns", "integer"] + (["range"] if layout in ranged else [])
         defects += ["label"] if layout == "labeled" else []
         defect = data.draw(st.sampled_from([None, *defects])) if rows else None
         if defect:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,10 @@ from hypothesis import strategies as st
 
 from seqscan import StatKernel, cbs_segment, exhaustive_scan, glr, iterative_grid_scan, score
 from seqscan import segment
-from seqscan.segment import (_argbest, _argbest_diverse, _better, _coord_refine, _dense_cut,
+from seqscan.segment import (_argbest_diverse, _better, _coord_refine, _dense_cut,
                              _refine_lockstep, _score_boxes)
 
-from conftest import bernoulli_process, proc_from_z
+from conftest import argbest, bernoulli_process, proc_from_z
 
 
 class TestExhaustiveScan:
@@ -47,6 +49,47 @@ class TestExhaustiveScan:
         p = proc_from_z([1, 0, 1, 0])
         with pytest.raises(ValueError):
             exhaustive_scan(p, "glr", 0, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from(["score", "glr"]))
+    def test_matches_all_pairs_reference(self, data, stat):
+        m = data.draw(st.integers(2, 300))
+        kind = data.draw(st.sampled_from(["random", "block", "case", "control", "alternating"]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if kind in ("case", "control"):
+            Z = np.full(m, int(kind == "case"))
+        elif kind == "alternating":
+            Z = np.arange(m) % 2
+        else:
+            p = np.full(m, rng.uniform(0.1, 0.9))
+            if kind == "block":
+                start = int(rng.integers(0, m))
+                p[start : start + int(rng.integers(1, m + 1))] = rng.uniform(0.0, 1.0)
+            Z = (rng.random(m) < p).astype(int)
+        proc = proc_from_z(Z)
+        lo = data.draw(st.one_of(st.just(1), st.integers(1, m - 1)))
+        hi = data.draw(st.one_of(st.just(m), st.integers(lo + 1, m)))
+        res = exhaustive_scan(proc, stat, lo, hi)
+        i, j, v = exhaustive_reference(proc, stat, lo, hi)
+        assert (res.best.i, res.best.j, res.objective.hex()) == (i, j, v.hex())
+
+    def test_memory_linear_in_region(self):
+        # holding all n(n + 1)/2 index pairs of 4,000 reads takes about 313 MiB
+        proc = bernoulli_process(0.5, 4000, seed=3)
+        tracemalloc.start()
+        try:
+            exhaustive_scan(proc, "glr", 1, proc.m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
+def exhaustive_reference(proc, stat, lo, hi):
+    """Every interval of [lo, hi] scored in one objective call, then argbest (reference)."""
+    ii, jj = np.triu_indices(hi - lo + 1)
+    I, J = ii.astype(np.int64) + lo, jj.astype(np.int64) + lo
+    return argbest(I, J, StatKernel(proc, stat, lo, hi).objective(I, J))
 
 
 class TestIterativeGridScan:
@@ -156,7 +199,7 @@ def coord_refine_every_round(kernel, lo, hi, cand, rounds=2):
             anchor = np.full(axis.size, fixed, dtype=np.int64)
             I = np.minimum(anchor, axis)
             J = np.maximum(anchor, axis)
-            i2, j2, v2 = _argbest(I, J, kernel.objective(I, J))
+            i2, j2, v2 = argbest(I, J, kernel.objective(I, J))
             if _better(i2, j2, v2, best):
                 best = (i2, j2, v2)
     return best
@@ -204,13 +247,13 @@ def box_axes(lo, hi, bi, bj, s, G):
 
 
 def argbest_diverse_reference(I, J, v, k, radius):
-    """_argbest_diverse rerunning _argbest on the gathered survivors each round (reference)."""
+    """_argbest_diverse rerunning argbest on the gathered survivors each round (reference)."""
     out = []
     alive = np.ones(v.size, dtype=bool)
     for _ in range(k):
         if not alive.any():
             break
-        ci, cj, cv = _argbest(I[alive], J[alive], v[alive])
+        ci, cj, cv = argbest(I[alive], J[alive], v[alive])
         out.append((ci, cj, cv))
         alive &= ~((np.abs(I - ci) < radius) & (np.abs(J - cj) < radius))
     return out
@@ -231,7 +274,7 @@ def refine_reference(kernel, lo, hi, cand, spacing, G, walk=None):
         I, J = I[keep], J[keep]
         if walk is not None:
             walk.append(I.size)
-        i2, j2, v2 = _argbest(I, J, kernel.objective(I, J))
+        i2, j2, v2 = argbest(I, J, kernel.objective(I, J))
         if _better(i2, j2, v2, best):
             best = (i2, j2, v2)
             continue
@@ -336,7 +379,7 @@ class TestScanKernelsMatchReferences:
         I, J = np.minimum(f, axis), np.maximum(f, axis)
         assert np.array_equal(v, StatKernel(proc, stat, lo, hi).objective(I, J))
         k = int(np.argmax(v))
-        assert _argbest(I, J, v) == (int(I[k]), int(J[k]), float(v[k]))
+        assert argbest(I, J, v) == (int(I[k]), int(J[k]), float(v[k]))
 
     @settings(max_examples=100, deadline=None)
     @given(scan_windows(max_m=200), st.sampled_from(["score", "glr"]), st.data())

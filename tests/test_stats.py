@@ -6,9 +6,8 @@ from scipy.special import xlogy
 
 from seqscan import StatKernel, glr, score
 from seqscan.stats import _xlogx, xlogx_table
-from seqscan.segment import _argbest
 
-from conftest import bernoulli_process, proc_from_z
+from conftest import argbest, bernoulli_process, proc_from_z
 
 
 def naive_glr(Z, i, j):
@@ -200,9 +199,9 @@ class TestStatKernel:
                     I = np.arange(lo, hi - d + 1, dtype=np.int64)
                     v = kernel.objective_width(d)
                     assert np.array_equal(v, kernel.objective(I, I + d))
-                    # for one width the first maximum is _argbest's lexicographic pick
+                    # for one width the first maximum is the lexicographic pick
                     k = int(np.argmax(v))
-                    assert _argbest(I, I + d, v) == (lo + k, lo + k + d, float(v[k]))
+                    assert argbest(I, I + d, v) == (lo + k, lo + k + d, float(v[k]))
 
     def test_shared_xlogx_table(self):
         # a chromosome-long table serves every window bit for bit
