@@ -85,11 +85,7 @@ def _number(kind, **bounds):
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return f"{x:.10g}"
-    return str(x)
+    return f"{x:.10g}" if isinstance(x, float) else str(x)
 
 
 def _tsv_lines(rows):

@@ -20,10 +20,9 @@ from .stats import _xlogx
 
 @dataclass(frozen=True)
 class MbicCurve:
-    """Criterion values for K = 0..K_max and the selected K."""
+    """Criterion values for K = 0..K_max."""
 
     values: np.ndarray
-    k_hat: int
 
 
 def log_glr_full(process: CombinedProcess, taus) -> float:
@@ -68,4 +67,4 @@ def select_k(process: CombinedProcess, sequence: ChangePointSequence):
     for k in range(values.size):
         values[k] = mbic(process, sequence.taus_at(k))
     k_hat = int(np.argmax(values))
-    return k_hat, MbicCurve(values=values, k_hat=k_hat), sequence.taus_at(k_hat)
+    return k_hat, MbicCurve(values=values), sequence.taus_at(k_hat)

@@ -34,7 +34,6 @@ class CpLikelihoods:
 
     indices: np.ndarray
     log_l: np.ndarray
-    window: tuple[int, int]
 
     @property
     def log_l_max(self) -> float:
@@ -129,7 +128,7 @@ def cp_likelihoods(
         + _log_beta(alpha + s2, beta + n2 - s2)
         + const
     )
-    return CpLikelihoods(indices=c, log_l=log_l, window=(lo, hi))
+    return CpLikelihoods(indices=c, log_l=log_l)
 
 
 def posterior_weights(logs: CpLikelihoods, epsilon: float = 1e-4) -> TruncatedWeights:
@@ -389,7 +388,7 @@ def _boundary_posterior(process, window_lo, window_hi, alpha, beta, epsilon):
     """
     logs = cp_likelihoods(process, alpha, beta, lo=window_lo, hi=window_hi)
     # the last candidate leaves the right side empty: not a valid boundary
-    trimmed = CpLikelihoods(indices=logs.indices[:-1], log_l=logs.log_l[:-1], window=logs.window)
+    trimmed = CpLikelihoods(indices=logs.indices[:-1], log_l=logs.log_l[:-1])
     tw = posterior_weights(trimmed, epsilon)
     idx, w, r = tw.indices, tw.weights, tw.ratios
     truncated = idx.size > MAX_BOUNDARY_CANDIDATES

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .process import CombinedProcess
-from .stats import IntervalStat, StatKernel, xlogx_table
+from .stats import IntervalStat, StatKernel
 
 
 @dataclass(frozen=True)
@@ -105,20 +105,19 @@ def _check_region(process: CombinedProcess, lo: int, hi: int) -> None:
         raise ValueError(f"region [{lo}, {hi}] outside [1, {process.m}]")
 
 
-def exhaustive_scan(process: CombinedProcess, stat_kind: str, lo: int, hi: int,
-                    xlogx: np.ndarray | None = None) -> ScanResult:
+def exhaustive_scan(process: CombinedProcess, stat_kind: str, lo: int, hi: int) -> ScanResult:
     """Evaluate every interval with lo <= i <= j <= hi and return the argmax.
 
     The intervals are scored one width at a time (``_best_of_widths``), so
     memory stays linear in the region.  The region is scanned as its own
     sequence, so the full-range interval is skipped for the likelihood-ratio
     statistic (it has no outside reads).  A region narrower than 2 reads
-    yields an empty result.  ``xlogx`` is passed to ``StatKernel``.
+    yields an empty result.
     """
     _check_region(process, lo, hi)
     if hi - lo < 1:
         return ScanResult(best=None, objective=float("-inf"))
-    kernel = StatKernel(process, stat_kind, lo, hi, xlogx)
+    kernel = StatKernel(process, stat_kind, lo, hi)
     i, j, obj = _best_of_widths(kernel, lo, hi - lo + 1)
     return ScanResult(best=kernel.stat(i, j), objective=obj)
 
@@ -128,74 +127,50 @@ def _dense_cut(G: int) -> int:
     return max(4, 64 // G)
 
 
-def _ladder_plan(n: int, G: int) -> list[tuple[int, int, int]]:
+def _ladder_plan(n: int, G: int) -> list[tuple[int, int, int]] | None:
     """(width cap, width floor, endpoint spacing) of every grid level of a region.
 
     Widths shrink geometrically by G from the region size; levels at or below
-    3*G are left to the dense small-width sweep.
+    3*G are left to the dense small-width sweep.  A level's spacing starts at
+    width/(2G) and widens until the level stays within 2n evaluations, so total
+    work per scan does not depend on where n falls between powers of G.
+    Returns None where the dense sweep, every level and a refinement budget per
+    retained candidate would evaluate at least all n(n + 1)/2 intervals.
     """
     ws = [n]
     while ws[-1] > 2:
         ws.append(max(2, ws[-1] // G))
     plan = []
+    work = min(3 * G, n) * n
     for w, below in zip(ws, ws[1:] + [1]):
         if w <= 3 * G:
             continue
         floor = max(below, 3 * G - 1)
-        plan.append((w, floor, _level_spacing(n, w, floor, G)))
-    return plan
-
-
-def _grid_work_estimate(n: int, G: int, plan) -> int:
-    """Number of interval evaluations the grid scheme would spend on a region.
-
-    Counts the dense small-width sweep, every ladder level, and a refinement
-    budget per retained candidate.  Used to fall back to the exhaustive scan
-    whenever the grid path would do at least as much work.
-    """
-    total = min(3 * G, n) * n
-    for w, floor, g in plan:
-        total += (n // g + 1) * max(1, (w - floor) // g)
-    n_cand = 1 + 3 * len(plan)
-    box_dense = (2 * _dense_cut(G) + 1) ** 2
-    box_grid = (2 * G + 3) ** 2
-    rounds = max(1, int(np.log2(max(n, 2))))
-    total += n_cand * (3 * box_dense + rounds * box_grid)
-    return total
-
-
-def _level_spacing(n: int, width_cap: int, width_floor: int, G: int) -> int:
-    """Endpoint grid spacing for one ladder level.
-
-    Starts at width/(2G) and widens until the level stays within a linear
-    evaluation budget, so total work per scan does not depend on where the
-    region size falls between powers of G.
-    """
-    g = max(1, width_cap // (2 * G))
-    budget = 2 * n
-    while ((n // g + 1) * max(1, (width_cap - width_floor) // g)) > budget:
-        g += max(1, g // 4)
-    return g
+        g = max(1, w // (2 * G))
+        while (level := (n // g + 1) * max(1, (w - floor) // g)) > 2 * n:
+            g += max(1, g // 4)
+        plan.append((w, floor, g))
+        work += level
+    rounds = int(np.log2(max(n, 2)))
+    box_work = 3 * (2 * _dense_cut(G) + 1) ** 2 + rounds * (2 * G + 3) ** 2
+    work += (1 + 3 * len(plan)) * box_work
+    return None if work >= n * (n + 1) // 2 else plan
 
 
 def _level_pairs(lo: int, hi: int, width_cap: int, width_floor: int, g: int):
-    """Intervals with endpoints on a spacing-g grid and width in (floor, cap]."""
-    starts = np.arange(lo, hi + 1, g, dtype=np.int64)
-    d0 = max(g * ((width_floor // g) + 1), g)
-    deltas = list(range(d0, width_cap, g))
-    if width_cap - 1 >= width_floor:
-        deltas.append(width_cap - 1)
-    out_I, out_J = [], []
-    for d in sorted(set(deltas)):
-        I = starts[starts + d <= hi]
-        if I.size:
-            out_I.append(I)
-            out_J.append(I + d)
-        # right-anchored interval keeps the region edge reachable
-        if hi - d >= lo:
-            out_I.append(np.array([hi - d], dtype=np.int64))
-            out_J.append(np.array([hi], dtype=np.int64))
-    return np.concatenate(out_I), np.concatenate(out_J)
+    """Intervals with endpoints on a spacing-g grid and width in (floor, cap].
+
+    Each endpoint distance d, a multiple of g above the floor or cap - 1 (at
+    most hi - lo), takes the grid starts lo, lo + g, ... that end by hi, then
+    its right-anchored interval, which keeps the region edge reachable.
+    """
+    d = np.append(np.arange(g * (width_floor // g + 1), width_cap - 1, g), width_cap - 1)
+    sizes = (hi - lo - d) // g + 2
+    first = sizes.cumsum() - sizes
+    D = np.repeat(d, sizes)
+    I = lo + g * (np.arange(D.size) - np.repeat(first, sizes))
+    I[first + sizes - 1] = hi - d
+    return I, I + D
 
 
 def _score_boxes(kernel: StatKernel, lo: int, hi: int, bi, bj, s, G: int):
@@ -290,7 +265,7 @@ def _coord_refine(kernel: StatKernel, lo: int, hi: int, cand, swept: dict, round
 
 
 def iterative_grid_scan(process: CombinedProcess, stat_kind: str, lo: int, hi: int,
-                        grid_step: int = 10, xlogx: np.ndarray | None = None) -> ScanResult:
+                        grid_step: int = 10) -> ScanResult:
     """Coarse-to-fine interval scan.
 
     Phase 1 evaluates every interval up to width 3*grid_step, then a geometric
@@ -300,7 +275,7 @@ def iterative_grid_scan(process: CombinedProcess, stat_kind: str, lo: int, hi: i
     (``_refine_lockstep``), sweeps the top four and the full-range interval one
     endpoint at a time over prefix-sum slices (``_coord_refine``) and returns
     the best.  Regions where the grid costs as much as all pairs are scanned
-    exhaustively.  ``xlogx`` is passed to ``StatKernel``.
+    exhaustively (``_ladder_plan`` returns None).
     """
     G = int(grid_step)
     if G < 2:
@@ -308,13 +283,12 @@ def iterative_grid_scan(process: CombinedProcess, stat_kind: str, lo: int, hi: i
     _check_region(process, lo, hi)
     n = hi - lo + 1
     plan = _ladder_plan(n, G)
-    # the grid degenerates to all pairs whenever it would cost as much anyway; its
-    # dense term alone, n * n, does so at n <= 3 * G (and exhaustive_scan returns
-    # the empty result for a region of one read)
-    if _grid_work_estimate(n, G, plan) >= n * (n + 1) // 2:
-        return exhaustive_scan(process, stat_kind, lo, hi, xlogx)
+    # the dense sweep alone, n * n, costs as much as all pairs at n <= 3 * G (and
+    # exhaustive_scan returns the empty result for a region of one read)
+    if plan is None:
+        return exhaustive_scan(process, stat_kind, lo, hi)
 
-    kernel = StatKernel(process, stat_kind, lo, hi, xlogx)
+    kernel = StatKernel(process, stat_kind, lo, hi)
     # dense sweep of all small widths
     level_best = [(_best_of_widths(kernel, lo, min(3 * G, n)), 1)]
 
@@ -363,8 +337,6 @@ def cbs_segment(
     if m < 2:
         return ChangePointSequence(steps=steps, m=m)
 
-    # one x*log(x) table serves every region's likelihood-ratio kernel
-    xlogx = xlogx_table(m) if stat_kind == "glr" else None
     # every region of the partition -> its best (i, j, objective), or None once retired;
     # (objective, -start) orders the regions totally, so the dict's order never matters
     found: dict[tuple[int, int], tuple | None] = {}
@@ -373,7 +345,7 @@ def cbs_segment(
 
     while n_taus < max_k:
         for a, b in parts:
-            res = iterative_grid_scan(process, stat_kind, a, b, grid_step, xlogx)
+            res = iterative_grid_scan(process, stat_kind, a, b, grid_step)
             found[a, b] = None if res.best is None else (res.best.i, res.best.j, res.objective)
         parts = []
 

@@ -44,9 +44,6 @@ class IntensityFunction:
     def end(self) -> int:
         return self.origin + self.bin_width * self.values.size
 
-    def scaled(self, factor: float) -> "IntensityFunction":
-        return IntensityFunction(self.origin, self.bin_width, self.values * factor)
-
 
 @dataclass(frozen=True)
 class SpikeInTruth:

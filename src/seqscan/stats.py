@@ -11,6 +11,7 @@ the likelihood ratio needs no transcendental calls per interval.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,10 +33,6 @@ class IntervalStat:
     p_hat: float | None = None
     p_hat_in: float | None = None
     p_hat_out: float | None = None
-
-    @property
-    def width(self) -> int:
-        return self.j - self.i + 1
 
 
 def _check_interval(lo: int, hi: int, i: int, j: int) -> None:
@@ -76,17 +73,19 @@ def _xlogx(k) -> float:
     return k * math.log(k) if k else 0.0
 
 
+@functools.lru_cache(maxsize=1)
 def xlogx_table(m: int) -> np.ndarray:
     """k*log(k) of every count k = 0..m: the table a likelihood-ratio kernel indexes.
 
     Each entry is float(k) times libm's log(k), taken through ``math.log`` as
     in ``_xlogx``: the same bits as scipy.special.xlogy(k, k).  numpy's own log
     differs from libm's in the last bit on a few integers, so it is not used.
-    Its values do not depend on the window, so one table of a chromosome's
-    length serves every ``StatKernel`` on it.
+    Its values do not depend on the window, so the last table built, one of a
+    chromosome's length, serves every ``StatKernel`` on it; it is read-only.
     """
     table = np.arange(m + 1, dtype=np.float64)
     table[1:] *= np.fromiter(map(math.log, range(1, m + 1)), np.float64, m)
+    table.flags.writeable = False
     return table
 
 
@@ -159,12 +158,12 @@ class StatKernel:
     rest of the window.  On the whole stream this is exactly the chromosome
     statistic; recursive segmentation scans sub-regions the same way.  The
     scan objective is |t_ij| for the score statistic and lambda_ij for the
-    likelihood ratio.  Arrays I and J are 1-based interval endpoints.  ``xlogx``
-    may pass a shared ``xlogx_table`` of at least the window's length.
+    likelihood ratio.  Arrays I and J are 1-based interval endpoints.  The
+    likelihood ratio indexes the process's ``xlogx_table``.
     """
 
     def __init__(self, process: CombinedProcess, stat_kind: str, lo: int = 1,
-                 hi: int | None = None, xlogx: np.ndarray | None = None):
+                 hi: int | None = None):
         if stat_kind not in _INTERVAL_STAT:
             raise ValueError(f"unknown statistic {stat_kind!r}")
         hi = process.m if hi is None else hi
@@ -176,7 +175,7 @@ class StatKernel:
         self.m1 = int(process.S[hi] - process.S[lo - 1])
         self._p = self.m1 / self.m if self.m else 0.0
         if stat_kind == "glr":
-            self._xlogx = xlogx_table(self.m) if xlogx is None else xlogx[: self.m + 1]
+            self._xlogx = xlogx_table(process.m)[: self.m + 1]
 
     # evaluation block size: temporaries stay cache-resident on large batches
     CHUNK = 32768

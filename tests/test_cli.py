@@ -352,6 +352,12 @@ class TestBandWriter:
         band = PosteriorBand(grid=np.arange(10, 18), lower=lower, upper=upper, point_est=point)
         self.assert_same_bytes(tmp_path, band)
 
+    def test_fmt_literal_text(self):
+        # the row-by-row reference formats through _fmt too, so pin its text here
+        values = (np.inf, -np.inf, float("inf"), np.nan, -0.0, 0.1 + 0.2, 1e-300, 7, "chr1")
+        assert [cli._fmt(v) for v in values] == [
+            "inf", "-inf", "inf", "nan", "-0", "0.3", "1e-300", "7", "chr1"]
+
 
 class TestSimulateCommand:
     def test_default_truth_has_fifty_segments(self, tmp_path):
@@ -532,6 +538,21 @@ def test_cli_import_skips_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.split() == ["False"]
+
+
+def test_benchmark_tracer_installs():
+    # the benchmark's traced mode wraps library names by attribute, so renaming
+    # one breaks it; -B keeps the child from writing bytecode under perfbench/
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    perfbench = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+    probe = "import tracer; tracer.install(tracer.Tracer())"
+    out = subprocess.run([sys.executable, "-B", "-c", probe], cwd=perfbench, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
 
 
 @pytest.mark.parametrize("command,threads", [

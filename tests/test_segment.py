@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from seqscan import StatKernel, cbs_segment, exhaustive_scan, glr, iterative_grid_scan, score
 from seqscan import segment
 from seqscan.segment import (_argbest_diverse, _better, _coord_refine, _dense_cut,
-                             _refine_lockstep, _score_boxes)
+                             _ladder_plan, _level_pairs, _refine_lockstep, _score_boxes)
 
 from conftest import argbest, bernoulli_process, proc_from_z
 
@@ -188,6 +188,95 @@ class TestIterativeGridScan:
         assert len(scans) >= 3
         for calls, rounds, boxes in scans:
             assert calls == rounds < boxes
+
+
+def ladder_plan_reference(n, G):
+    """The grid levels, each spacing from its own helper (reference)."""
+    ws = [n]
+    while ws[-1] > 2:
+        ws.append(max(2, ws[-1] // G))
+    plan = []
+    for w, below in zip(ws, ws[1:] + [1]):
+        if w <= 3 * G:
+            continue
+        floor = max(below, 3 * G - 1)
+        plan.append((w, floor, level_spacing_reference(n, w, floor, G)))
+    return plan
+
+
+def grid_work_estimate_reference(n, G, plan):
+    """Interval evaluations of the dense sweep, every level and the refinement (reference)."""
+    total = min(3 * G, n) * n
+    for w, floor, g in plan:
+        total += (n // g + 1) * max(1, (w - floor) // g)
+    n_cand = 1 + 3 * len(plan)
+    box_dense = (2 * _dense_cut(G) + 1) ** 2
+    box_grid = (2 * G + 3) ** 2
+    rounds = max(1, int(np.log2(max(n, 2))))
+    total += n_cand * (3 * box_dense + rounds * box_grid)
+    return total
+
+
+def level_spacing_reference(n, width_cap, width_floor, G):
+    """A level's endpoint spacing, widened until the level fits 2n evaluations (reference)."""
+    g = max(1, width_cap // (2 * G))
+    budget = 2 * n
+    while ((n // g + 1) * max(1, (width_cap - width_floor) // g)) > budget:
+        g += max(1, g // 4)
+    return g
+
+
+def level_pairs_reference(lo, hi, width_cap, width_floor, g):
+    """One level's grid pairs, one distance at a time in a Python loop (reference)."""
+    starts = np.arange(lo, hi + 1, g, dtype=np.int64)
+    d0 = max(g * ((width_floor // g) + 1), g)
+    deltas = list(range(d0, width_cap, g))
+    if width_cap - 1 >= width_floor:
+        deltas.append(width_cap - 1)
+    out_I, out_J = [], []
+    for d in sorted(set(deltas)):
+        I = starts[starts + d <= hi]
+        if I.size:
+            out_I.append(I)
+            out_J.append(I + d)
+        if hi - d >= lo:
+            out_I.append(np.array([hi - d], dtype=np.int64))
+            out_J.append(np.array([hi], dtype=np.int64))
+    return np.concatenate(out_I), np.concatenate(out_J)
+
+
+# the largest region each grid step scans exhaustively: the fallback is a prefix in n
+FALLBACK_READS = {2: 767, 3: 412, 4: 304, 5: 224, 10: 217, 20: 413, 50: 1086}
+
+
+class TestLadderPlan:
+    @pytest.mark.parametrize("G", sorted(FALLBACK_READS))
+    def test_plan_and_fallback_match_reference(self, G):
+        # the three large sizes are the benchmark's chromosomes
+        for n in [*range(1, 5001), 96_229, 160_113, 200_072]:
+            plan, want = _ladder_plan(n, G), ladder_plan_reference(n, G)
+            if grid_work_estimate_reference(n, G, want) >= n * (n + 1) // 2:
+                want = None
+            assert plan == want
+            assert (plan is None) == (n <= FALLBACK_READS[G])
+
+    def test_level_pairs_match_reference(self):
+        rng = np.random.default_rng(31)
+        levels = 0
+        for _ in range(300):
+            G = int(rng.choice([2, 3, 5, 10, 20]))
+            n = int(rng.integers(2, 20_000))
+            lo = int(rng.integers(1, 1000))
+            hi = lo + n - 1
+            for w, floor, g in _ladder_plan(n, G) or []:
+                I, J = _level_pairs(lo, hi, w, floor, g)
+                Ir, Jr = level_pairs_reference(lo, hi, w, floor, g)
+                assert I.dtype == J.dtype == np.int64
+                # _argbest_diverse does not depend on the order of the pairs
+                got, want = np.lexsort((J, I)), np.lexsort((Jr, Ir))
+                assert np.array_equal(I[got], Ir[want]) and np.array_equal(J[got], Jr[want])
+                levels += 1
+        assert levels > 300
 
 
 def coord_refine_every_round(kernel, lo, hi, cand, rounds=2):

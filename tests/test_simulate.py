@@ -224,7 +224,7 @@ class TestModelConsistency:
 
     def test_inhomogeneity_cancels_outside_spikes(self):
         base = sine_baseline(span_bp=int(2e7), bin_width=1000, depth=0.5)
-        case = sample_nhpp(base.scaled(1.0), 80_000, seed=20)
+        case = sample_nhpp(base, 80_000, seed=20)
         ctrl = sample_nhpp(base, 80_000, seed=21)
         proc = merge_reads(case, ctrl)
         overall = proc.m1 / proc.m

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import xlogy
 
 from seqscan import StatKernel, glr, score
-from seqscan.stats import _xlogx, xlogx_table
+from seqscan.stats import _xlogx, interval_glr, xlogx_table
 
 from conftest import argbest, bernoulli_process, proc_from_z
 
@@ -212,9 +212,12 @@ class TestStatKernel:
         for lo, hi in [(1, 500), (1, 2), (499, 500), (37, 240)]:
             I = rng.integers(lo, hi + 1, 200)
             J = np.maximum(I, rng.integers(lo, hi + 1, 200))
-            own, shared = (StatKernel(proc, "glr", lo, hi, x) for x in (None, table))
-            assert np.array_equal(own.objective(I, J), shared.objective(I, J))
-            assert np.array_equal(own.objective_sweep(lo), shared.objective_sweep(lo))
+            kernel = StatKernel(proc, "glr", lo, hi)
+            assert np.shares_memory(kernel._xlogx, table)
+            # the scalar statistic takes every x*log(x) from math.log, not the table
+            want = [-np.inf if (i, j) == (lo, hi) else interval_glr(proc.S, lo, hi, i, j).lambda_ij
+                    for i, j in zip(I.tolist(), J.tolist())]
+            assert np.array_equal(kernel.objective(I, J), want)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -230,6 +233,13 @@ class TestXlogx:
         m = 3_000_000
         k = np.arange(m + 1, dtype=np.float64)
         assert np.array_equal(xlogx_table(m).view(np.int64), xlogy(k, k).view(np.int64))
+
+    def test_table_memoized_read_only(self):
+        table = xlogx_table(1000)
+        assert xlogx_table(1000) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[5] = 0.0
 
     def test_scalar_is_the_table_entry(self):
         m = 200_000
