@@ -193,9 +193,7 @@ def _run_chromosomes(args: argparse.Namespace, with_band: bool):
     Chromosomes are independent, so with ``--threads`` above 1 they run in up
     to that many worker processes, one chromosome per task; a single worker
     or chromosome runs in this process.  Only a pool imports
-    ``concurrent.futures.process`` (multiprocessing and socket, about 13 ms),
-    and a band's pool imports ``scipy.special`` first, so that every forked
-    worker inherits it instead of loading it again.
+    ``concurrent.futures.process`` (multiprocessing and socket, about 13 ms).
     """
     pairs = _load_pair(args.case, args.control, args.reads)
     jobs = []
@@ -212,9 +210,6 @@ def _run_chromosomes(args: argparse.Namespace, with_band: bool):
         results = [_segment_one(*job, args, with_band) for job in jobs]
     else:
         from concurrent.futures import ProcessPoolExecutor
-
-        if with_band:
-            import scipy.special  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [pool.submit(_segment_one, *job, args, with_band) for job in jobs]

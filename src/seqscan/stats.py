@@ -78,8 +78,9 @@ def xlogx_table(m: int) -> np.ndarray:
     """k*log(k) of every count k = 0..m: the table a likelihood-ratio kernel indexes.
 
     Each entry is float(k) times libm's log(k), taken through ``math.log`` as
-    in ``_xlogx``: the same bits as scipy.special.xlogy(k, k).  numpy's own log
-    differs from libm's in the last bit on a few integers, so it is not used.
+    in ``_xlogx``: the same bits as the tests' reference xlogy(k, k).  numpy's
+    own log differs from libm's in the last bit on a few integers, so it is
+    not used.
     Its values do not depend on the window, so the last table built, one of a
     chromosome's length, serves every ``StatKernel`` on it; it is read-only.
     """

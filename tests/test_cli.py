@@ -558,10 +558,9 @@ def test_benchmark_tracer_installs():
 @pytest.mark.parametrize("command,threads", [
     (None, 1), ("mbic-curve", 1), ("mbic-curve", 2), ("segment", 1), ("segment", 2),
 ])
-def test_only_the_band_loads_scipy(tmp_path, command, threads):
-    # scipy.special takes about 0.3 s to load: importing the CLI and running
-    # mbic-curve load no scipy module; segment's band loads scipy.special, in the
-    # parent process too when workers are forked, so that they inherit it
+def test_no_command_but_evaluate_loads_scipy(tmp_path, command, threads):
+    # scipy.special takes about 0.3 s to load: importing the CLI, mbic-curve and
+    # segment with its band load no scipy module, in one process or with workers
     import json
     import subprocess
     import sys
@@ -586,10 +585,7 @@ def test_only_the_band_loads_scipy(tmp_path, command, threads):
                          check=True, env={**os.environ, "PYTHONPATH": path})
     rc, loaded = json.loads(out.stdout.splitlines()[-1])
     assert rc == 0
-    if command == "segment":
-        assert "scipy.special" in loaded
-    else:
-        assert loaded == []
+    assert loaded == []
 
 
 def test_flag_fuzz_exits_zero_or_two_with_one_line(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import logging
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -172,13 +173,14 @@ class TestMixtureQuantile:
     def test_lower_tail_quantile_matches_beta_ppf(self, a, b, q, caplog, monkeypatch):
         # quantiles from 1e-17 down to 1e-301: far below any absolute bracket width
         steps = []
+        series_cdf = posterior._series_cdf
 
-        def counted_betainc(*args):
+        def counted_series_cdf(*args):
             steps.append(args)
-            return betainc(*args)
+            return series_cdf(*args)
 
-        # _beta_cdf binds betainc from scipy.special on each call
-        monkeypatch.setattr(scipy.special, "betainc", counted_betainc)
+        # the chained CDF looks the series up in the module on each call
+        monkeypatch.setattr(posterior, "_series_cdf", counted_series_cdf)
         mix = BetaMixture(weights=np.ones(1), a=np.array([a]), b=np.array([b]))
         with caplog.at_level(logging.WARNING, logger="seqscan.posterior"):
             x = mixture_quantile(mix, q)
@@ -207,20 +209,116 @@ class TestMixtureQuantile:
             BetaMixture(weights=np.array([1.0]), a=np.array([0.0]), b=np.ones(1))
 
 
+EPS = np.finfo(float).eps
+
+
+def mp_beta_cdf(a, b, x):
+    """I_x(a, b) to 40 digits.
+
+    mpmath's betainc gives up on shapes near 10^7; there the series of DLMF 8.17.8
+    below the mean, summed to 40 digits, takes over.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a, b, x = mpmath.mpf(float(a)), mpmath.mpf(float(b)), mpmath.mpf(float(x))
+        try:
+            return float(mpmath.betainc(a, b, 0, x, regularized=True))
+        except (mpmath.libmp.libhyper.NoConvergence, ValueError):
+            pass
+        flip = x > a / (a + b)
+        if flip:
+            a, b, x = b, a, 1 - x
+        v = (mpmath.exp(a * mpmath.log(x) + b * mpmath.log1p(-x) - mpmath.log(mpmath.beta(a, b)))
+             / a * mpmath.hyp2f1(a + b, 1, a + 1, x, maxterms=10**6))
+        return float(1 - v if flip else v)
+
+
+class TestSpecialFunctions:
+    def test_lgamma_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(3)
+        z = np.concatenate([np.exp(rng.uniform(np.log(1e-300), np.log(1e9), 400)),
+                            rng.uniform(0.5, 30.0, 200), [1.0, 2.0, 14.999999, 15.0, 0.5, 1e9]])
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.loggamma(float(v))) for v in z])
+        err = np.abs(posterior._lgamma(z) - ref)
+        assert (err <= 64 * EPS * np.maximum(1.0, np.abs(ref))).all(), z[err.argmax()]
+
+    def test_log_beta_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(4)
+        a = np.concatenate([np.exp(rng.uniform(np.log(1e-3), np.log(1e9), 300)),
+                            [0.5, 1.0, 1e5, 1e7, 1e9, 3.0]])
+        b = np.concatenate([np.exp(rng.uniform(np.log(1e-3), np.log(1e9), 300)),
+                            [0.5, 1.0, 1e5, 1e7, 1.0, 1e-3]])
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.log(mpmath.beta(float(x), float(y))))
+                            for x, y in zip(a, b)])
+        err = np.abs(posterior._log_beta(a, b) - ref)
+        # a difference of log-gamma values would be off by about eps log Gamma(a + b)
+        assert (err <= 64 * EPS * np.maximum(1.0, np.abs(ref))).all(), (a[err.argmax()],
+                                                                         b[err.argmax()])
+
+    def test_ndtri_matches_scipy_and_python(self):
+        rng = np.random.default_rng(5)
+        p = np.concatenate([np.exp(rng.uniform(np.log(1e-300), 0.0, 4000)),
+                            rng.uniform(0.0, 1.0, 4000),
+                            1.0 - np.exp(rng.uniform(np.log(2.0**-53), 0.0, 4000)),
+                            [1e-300, 0.5, 0.075, 0.925, 0.025, 0.975, 1.0 - 2.0**-53]])
+        p = p[(p >= 1e-300) & (p <= 1.0 - 2.0**-53)]
+        ours = posterior._ndtri(p)
+        ref = scipy.special.ndtri(p)
+        assert (np.abs(ours - ref) <= 8 * np.spacing(np.abs(ref))).all()
+        # the same arithmetic as Python's statistics.NormalDist.inv_cdf
+        normal = statistics.NormalDist()
+        assert ours[::40].tolist() == [normal.inv_cdf(v) for v in p[::40].tolist()]
+
+    @pytest.mark.parametrize("a,b,x", [
+        (0.01, 0.01, 1.0 - 1e-9), (0.01, 0.01, 1.0 - 2.0**-53), (0.01, 0.01, 0.5),
+        (0.001, 1.0, 1e-300), (0.5, 0.5, 1.0 - 2.0**-53), (0.5, 0.5, 1.0 - 1e-9),
+        (0.5, 0.5, 1e-9), (1e7, 1e7, 0.5), (1e7, 1e7, 0.5001), (1.0, 5e5, 7e-6),
+        (3000.0, 20.0, 0.99), (2.5, 0.01, 0.5), (20.5, 19.5, 0.45), (1e5 + 0.5, 3.0, 0.99997),
+    ])
+    def test_series_matches_mpmath(self, a, b, x):
+        exact = mp_beta_cdf(a, b, x)
+        got = posterior._series_cdf(np.array([a]), np.array([b]), x)[0][0]
+        assert abs(got - exact) <= posterior._series_error(np.array([a]), np.array([b]))
+
+    def test_series_matches_betainc_on_random_shapes(self):
+        rng = np.random.default_rng(6)
+        a = np.exp(rng.uniform(np.log(1e-3), np.log(1e4), 3000))
+        b = np.exp(rng.uniform(np.log(1e-3), np.log(1e4), 3000))
+        x = rng.uniform(0.0, 1.0, 3000)
+        x[::3] = scipy.special.betaincinv(a[::3], b[::3], rng.uniform(0.0, 1.0, 1000))
+        cdf = posterior._series_cdf(a, b, x)[0]
+        # where betainc disagrees by more than 1e-14, 40 digits decide
+        for i in np.flatnonzero(np.abs(cdf - betainc(a, b, x)) > 1e-14):
+            assert abs(cdf[i] - mp_beta_cdf(a[i], b[i], x[i])) <= (
+                posterior._series_error(a[i : i + 1], b[i : i + 1])), (a[i], b[i], x[i])
+
+
 PRIOR_SHAPES = [0.01, 0.5, 1.0, 3.0]
 
 
 @st.composite
 def chained_tables(draw):
-    """Beta(alpha + cases, beta + controls) tables made of 1-4 runs of 1-300 links each."""
+    """Beta(alpha + cases, beta + controls) tables with b- and a-links, runs in any order.
+
+    A block of 1-5 consecutive case counts, each with a run of up to 150
+    consecutive control counts starting near a shared one, plus up to two
+    runs elsewhere.
+    """
     alpha, beta = draw(st.sampled_from(PRIOR_SHAPES)), draw(st.sampled_from(PRIOR_SHAPES))
-    a, b = [], []
-    for _ in range(draw(st.integers(1, 4))):
+    cases0, controls0 = draw(st.integers(0, 10**5)), draw(st.integers(3, 10**5))
+    runs = []
+    for r in range(draw(st.integers(1, 5))):
+        start = controls0 + draw(st.integers(-3, 3))
+        runs.append([(cases0 + r, start + k) for k in range(draw(st.integers(1, 150)))])
+    for _ in range(draw(st.integers(0, 2))):
         cases, controls = draw(st.integers(0, 10**5)), draw(st.integers(0, 10**5))
-        length = draw(st.integers(1, 300))
-        a += [alpha + cases] * length
-        b += [beta + controls + k for k in range(length)]
-    return np.array(a), np.array(b)
+        runs.append([(cases, controls + k) for k in range(draw(st.integers(1, 40)))])
+    cases, controls = np.array([pair for run in draw(st.permutations(runs)) for pair in run]).T
+    return alpha + cases, beta + controls
 
 
 @st.composite
@@ -232,6 +330,14 @@ def cdf_points(draw, a, b):
     return np.clip([0.0, 1.0, 1e-300, 1.0 - 2.0**-53, *near, *drawn], 0.0, 1.0)
 
 
+def assert_within_bound(a, b, chains, x, cdf):
+    """Every chained CDF is within the chains' bound of the exact one (betainc, else 40 digits)."""
+    bound = chains["bound"]
+    off = np.abs(cdf - betainc(a, b, x[:, None])) > bound
+    for i, j in zip(*np.nonzero(off)):
+        assert abs(cdf[i, j] - mp_beta_cdf(a[j], b[j], x[i])) <= bound, (a[j], b[j], x[i])
+
+
 class TestChainedCdf:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -240,52 +346,60 @@ class TestChainedCdf:
         x = data.draw(cdf_points(a, b))
         chains = posterior._chains(a, b)
         cdf, _ = posterior._chained_cdf(a, b, chains, x)
-        bound = chains["bound"]
         # links whose error could exceed a tenth of the tolerance are not taken
-        assert bound <= 4 * np.finfo(float).eps * a.size + posterior.QUANTILE_TOL / 10
-        off = np.abs(cdf - betainc(a, b, x[:, None])) > bound
-        # betainc is itself off by up to 3e-9 in places (Beta(0.5, 0.5) at 1 - 2**-53),
-        # and a chain starts from its root's CDF.  Where the chain and betainc disagree
-        # by more than the bound, 40 digits decide, allowing the root CDF's error
-        if off.any():
-            mpmath = pytest.importorskip("mpmath")
+        roots = chains["roots"][chains["series"]]
+        assert chains["bound"] <= (4 * EPS * a.size + posterior.QUANTILE_TOL / 10
+                                   + posterior._series_error(a[roots], b[roots]))
+        assert chains["b_links"] + chains["a_links"] + chains["series"].size == a.size
+        assert_within_bound(a, b, chains, x, cdf)
 
-            def exact(j, i):
-                with mpmath.workdps(40):
-                    return float(mpmath.betainc(a[j], b[j], 0, x[i], regularized=True))
-
-            roots = chains["roots"]
-            for i, j in zip(*np.nonzero(off)):
-                r = roots[np.searchsorted(roots, j, side="right") - 1]
-                root_err = abs(posterior._beta_cdf(a[r], b[r], x[i]) - exact(r, i))
-                assert abs(cdf[i, j] - exact(j, i)) <= bound + root_err, (a[j], b[j], x[i])
+    def test_large_counts_keep_their_links(self):
+        # a = b = 10^5: a log-beta as a difference of log-gamma values would be off by
+        # 1e-10 here, enough to break every link; Stirling differences keep them
+        cases, controls = np.meshgrid(np.arange(4), np.arange(60), indexing="ij")
+        a = 1e5 + 1.0 + cases.ravel()
+        b = 1e5 + 1.0 + controls.ravel() + 2 * cases.ravel()
+        chains = posterior._chains(a, b)
+        assert chains["roots"].size < a.size / 2
+        assert chains["series"].size == 1
+        assert 0.0 < chains["bound"] < 1e-9
+        x = np.array([0.4975, 0.4992, 0.5, 0.501, 0.503])
+        cdf, _ = posterior._chained_cdf(a, b, chains, x)
+        assert_within_bound(a, b, chains, x, cdf)
+        for j in (0, 59, 130, 239):
+            i = j % x.size
+            assert abs(cdf[i, j] - mp_beta_cdf(a[j], b[j], x[i])) <= chains["bound"]
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.floats(0.01, 1e5), st.floats(0.01, 1e5)), min_size=1,
                     max_size=40), st.data())
     def test_table_without_chains_is_betainc(self, shapes, data):
+        # without links every CDF is the series' own, bit for bit
         a, b = np.array(shapes).T
         chains = posterior._chains(a, b)
-        assume(chains["roots"].size == a.size)
+        assume(chains["series"].size == a.size)
         x = data.draw(cdf_points(a, b))
         cdf, _ = posterior._chained_cdf(a, b, chains, x)
-        assert chains["bound"] == 0.0
-        assert np.array_equal(cdf, posterior._beta_cdf(a, b, x[:, None]))
+        assert chains["b_links"] == chains["a_links"] == 0
+        assert np.array_equal(cdf, posterior._series_cdf(a, b, x[:, None])[0])
 
     @pytest.mark.parametrize("x", [1.0 - 2.0**-53, 1.0 - 1e-9, 1.0 - 1e-6, 0.75, 0.5, 1e-9,
                                    2.0**-53])
     def test_arcsine_cdf_matches_mpmath(self, x):
-        # betainc(0.5, 0.5, x) is off by 2.8e-9 at x = 1 - 2**-53 and 1.1e-12 at 1 - 1e-9
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(40):
-            exact = float(mpmath.betainc(0.5, 0.5, 0, x, regularized=True))
+        # the series reflects Beta(1/2, 1/2) above x = 1/2, where 1 - x is exact: near 1
+        # the CDF is good to an ulp (betainc was off by 2.8e-9 at 1 - 2**-53)
+        exact = mp_beta_cdf(0.5, 0.5, x)
+        tol = np.spacing(exact) if x > 1.0 - 1e-5 else 16 * EPS
         a, b = np.array([0.5, 0.5, 1.5, 2.5]), np.array([0.5, 1.5, 0.5, 0.5])
-        cdf, _ = posterior._chained_cdf(a, b, posterior._chains(a, b), np.array([x]))
-        assert abs(cdf[0, 0] - exact) <= np.spacing(exact)
+        chains = posterior._chains(a, b)
+        assert chains["series"].tolist() == [0] and chains["a_links"] == 2
+        cdf, _ = posterior._chained_cdf(a, b, chains, np.array([x]))
+        assert abs(cdf[0, 0] - exact) <= tol
         mix = BetaMixture(weights=np.array([1.0]), a=a[:1], b=b[:1])
-        assert abs(mix.cdf(x) - exact) <= np.spacing(exact)
-        # every other shape is betainc's, bit for bit
-        assert np.array_equal(posterior._beta_cdf(a[1:], b[1:], x), betainc(a[1:], b[1:], x))
+        assert abs(mix.cdf(x) - exact) <= tol
+        # the linked shapes, from one b-link and two a-links
+        for j in (1, 2, 3):
+            assert abs(cdf[0, j] - mp_beta_cdf(a[j], b[j], x)) <= chains["bound"]
 
 
 class TestCiBand:
@@ -339,6 +453,21 @@ class TestCiBand:
     def test_level_validated(self):
         with pytest.raises(InputError):
             ci_band(bernoulli_process(0.5, 50, 0), [], level=1.5)
+
+    def test_one_debug_line_counts_the_links(self, caplog):
+        rng = np.random.default_rng(8)
+        p_vec = np.where((np.arange(3000) >= 1000) & (np.arange(3000) < 2000), 0.6, 0.4)
+        proc = proc_from_z((rng.random(3000) < p_vec).astype(int))
+        with caplog.at_level(logging.DEBUG, logger="seqscan.posterior"):
+            ci_band(proc, [1001, 2001])
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("credible band:")]
+        assert len(lines) == 1
+        comps, b_links, a_links, series, terms = (int(w) for w in lines[0].split()
+                                                  if w.isdigit())
+        # every component is a link's or a series root's, and most are links
+        assert comps == b_links + a_links + series
+        assert a_links > 0 and series < comps / 10 and terms > 0
 
 
 @st.composite
