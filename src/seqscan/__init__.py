@@ -1,5 +1,12 @@
 """Change-point detection and credible bands for case/control read streams."""
 
+import os
+
+# OpenBLAS starts a thread per core when numpy loads, about 0.07 s of CPU per
+# run on a 2-vCPU machine, and the package's matrix products are too small to
+# gain from threads.  Set before numpy is first imported; a user's value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .evaluate import MatchReport, match_changepoints, nearest_read_index
 from .mbic import MbicCurve, log_glr_full, mbic, select_k
 from .posterior import (

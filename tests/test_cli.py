@@ -555,6 +555,60 @@ def test_benchmark_tracer_installs():
     assert out.returncode == 0, out.stderr
 
 
+@pytest.mark.parametrize("preset,want", [(None, "1"), ("2", "2")])
+def test_openblas_single_threaded_unless_set(preset, want):
+    # importing seqscan sets OPENBLAS_NUM_THREADS before numpy loads; a value the
+    # user set is kept.  Where /proc lists the threads, single-threaded OpenBLAS
+    # starts none besides the main thread
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = ("import os, seqscan.cli\n"
+             "task = '/proc/self/task'\n"
+             "n = len(os.listdir(task)) if os.path.isdir(task) else 1\n"
+             "print(os.environ['OPENBLAS_NUM_THREADS'], n)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env)
+    value, threads = out.stdout.split()
+    assert value == want
+    if preset is None:
+        assert threads == "1"
+
+
+def test_benchmark_reference_outputs(tmp_path):
+    # the benchmark's seed-0 inputs of every workload, run through the CLI and
+    # checked as the benchmark checks them: byte-identical segments.tsv and
+    # mbic_*.tsv, and band.tsv within 1e-6 of perfbench/reference/
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    perfbench = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+    probe = (
+        "import os, sys\n"
+        "import run, workloads\n"
+        "from seqscan.cli import main\n"
+        "for name, wl in workloads.WORKLOADS.items():\n"
+        "    work = os.path.join(sys.argv[1], name)\n"
+        "    inputs = workloads.generate(wl, run.DEFAULT_SEED, os.path.join(work, 'in'))\n"
+        "    out = os.path.join(work, 'out')\n"
+        "    assert main(workloads.cli_args(wl, inputs, out)) == 0, name\n"
+        "    run.check_outputs(wl, inputs, out, os.path.join('reference', name))\n"
+        "    print(name, 'ok')\n"
+    )
+    # -B keeps the child from writing bytecode under perfbench/
+    out = subprocess.run([sys.executable, "-B", "-c", probe, str(tmp_path)], cwd=perfbench,
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.split() == ["band-full", "ok", "scan-deep", "ok", "ingest-null", "ok"]
+
+
 @pytest.mark.parametrize("command,threads", [
     (None, 1), ("mbic-curve", 1), ("mbic-curve", 2), ("segment", 1), ("segment", 2),
 ])

@@ -12,6 +12,7 @@ from scipy.stats import beta as beta_dist
 
 from seqscan import (
     BetaMixture,
+    CpLikelihoods,
     InputError,
     ci_band,
     cp_likelihoods,
@@ -19,7 +20,7 @@ from seqscan import (
     posterior_at,
     posterior_weights,
 )
-from seqscan import posterior
+from seqscan import betacdf, posterior
 from seqscan.posterior import _boundary_posterior, _segment_mixture_pairs
 from seqscan.process import segment_bounds
 
@@ -179,7 +180,7 @@ class TestMixtureQuantile:
             steps.append(args)
             return series_cdf(*args)
 
-        # the chained CDF looks the series up in the module on each call
+        # the solver looks the series up in the module on each step
         monkeypatch.setattr(posterior, "_series_cdf", counted_series_cdf)
         mix = BetaMixture(weights=np.ones(1), a=np.array([a]), b=np.array([b]))
         with caplog.at_level(logging.WARNING, logger="seqscan.posterior"):
@@ -241,7 +242,7 @@ class TestSpecialFunctions:
                             rng.uniform(0.5, 30.0, 200), [1.0, 2.0, 14.999999, 15.0, 0.5, 1e9]])
         with mpmath.workdps(40):
             ref = np.array([float(mpmath.loggamma(float(v))) for v in z])
-        err = np.abs(posterior._lgamma(z) - ref)
+        err = np.abs(betacdf._lgamma(z) - ref)
         assert (err <= 64 * EPS * np.maximum(1.0, np.abs(ref))).all(), z[err.argmax()]
 
     def test_log_beta_matches_mpmath(self):
@@ -254,7 +255,7 @@ class TestSpecialFunctions:
         with mpmath.workdps(40):
             ref = np.array([float(mpmath.log(mpmath.beta(float(x), float(y))))
                             for x, y in zip(a, b)])
-        err = np.abs(posterior._log_beta(a, b) - ref)
+        err = np.abs(betacdf._log_beta(a, b) - ref)
         # a difference of log-gamma values would be off by about eps log Gamma(a + b)
         assert (err <= 64 * EPS * np.maximum(1.0, np.abs(ref))).all(), (a[err.argmax()],
                                                                          b[err.argmax()])
@@ -266,7 +267,7 @@ class TestSpecialFunctions:
                             1.0 - np.exp(rng.uniform(np.log(2.0**-53), 0.0, 4000)),
                             [1e-300, 0.5, 0.075, 0.925, 0.025, 0.975, 1.0 - 2.0**-53]])
         p = p[(p >= 1e-300) & (p <= 1.0 - 2.0**-53)]
-        ours = posterior._ndtri(p)
+        ours = betacdf._ndtri(p)
         ref = scipy.special.ndtri(p)
         assert (np.abs(ours - ref) <= 8 * np.spacing(np.abs(ref))).all()
         # the same arithmetic as Python's statistics.NormalDist.inv_cdf
@@ -281,8 +282,8 @@ class TestSpecialFunctions:
     ])
     def test_series_matches_mpmath(self, a, b, x):
         exact = mp_beta_cdf(a, b, x)
-        got = posterior._series_cdf(np.array([a]), np.array([b]), x)[0][0]
-        assert abs(got - exact) <= posterior._series_error(np.array([a]), np.array([b]))
+        got = betacdf._series_cdf(np.array([a]), np.array([b]), x)[0][0]
+        assert abs(got - exact) <= betacdf._series_error(np.array([a]), np.array([b]))
 
     def test_series_matches_betainc_on_random_shapes(self):
         rng = np.random.default_rng(6)
@@ -290,11 +291,11 @@ class TestSpecialFunctions:
         b = np.exp(rng.uniform(np.log(1e-3), np.log(1e4), 3000))
         x = rng.uniform(0.0, 1.0, 3000)
         x[::3] = scipy.special.betaincinv(a[::3], b[::3], rng.uniform(0.0, 1.0, 1000))
-        cdf = posterior._series_cdf(a, b, x)[0]
+        cdf = betacdf._series_cdf(a, b, x)[0]
         # where betainc disagrees by more than 1e-14, 40 digits decide
         for i in np.flatnonzero(np.abs(cdf - betainc(a, b, x)) > 1e-14):
             assert abs(cdf[i] - mp_beta_cdf(a[i], b[i], x[i])) <= (
-                posterior._series_error(a[i : i + 1], b[i : i + 1])), (a[i], b[i], x[i])
+                betacdf._series_error(a[i : i + 1], b[i : i + 1])), (a[i], b[i], x[i])
 
 
 PRIOR_SHAPES = [0.01, 0.5, 1.0, 3.0]
@@ -338,18 +339,30 @@ def assert_within_bound(a, b, chains, x, cdf):
         assert abs(cdf[i, j] - mp_beta_cdf(a[j], b[j], x[i])) <= bound, (a[j], b[j], x[i])
 
 
+def chained_cdf(a, b, chains, x):
+    """Every component's CDF at x from the parts ``_chained_cdf`` returns, and g.
+
+    The series roots' CDFs come from ``_series_cdf``.
+    """
+    roots = chains["roots"][chains["series"]]
+    at_series, _ = betacdf._series_cdf(a[roots], b[roots], x[:, None], chains["series_peak"])
+    offsets, at_root, g = betacdf._chained_cdf(a, b, chains, x, at_series)
+    chain = np.searchsorted(chains["roots"], np.arange(a.size), side="right") - 1
+    return offsets + at_root[:, chain], g
+
+
 class TestChainedCdf:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_chains_match_betainc_within_bound(self, data):
         a, b = data.draw(chained_tables())
         x = data.draw(cdf_points(a, b))
-        chains = posterior._chains(a, b)
-        cdf, _ = posterior._chained_cdf(a, b, chains, x)
+        chains = betacdf._chains(a, b)
+        cdf, _ = chained_cdf(a, b, chains, x)
         # links whose error could exceed a tenth of the tolerance are not taken
         roots = chains["roots"][chains["series"]]
-        assert chains["bound"] <= (4 * EPS * a.size + posterior.QUANTILE_TOL / 10
-                                   + posterior._series_error(a[roots], b[roots]))
+        assert chains["bound"] <= (4 * EPS * a.size + betacdf.QUANTILE_TOL / 10
+                                   + betacdf._series_error(a[roots], b[roots]))
         assert chains["b_links"] + chains["a_links"] + chains["series"].size == a.size
         assert_within_bound(a, b, chains, x, cdf)
 
@@ -359,12 +372,12 @@ class TestChainedCdf:
         cases, controls = np.meshgrid(np.arange(4), np.arange(60), indexing="ij")
         a = 1e5 + 1.0 + cases.ravel()
         b = 1e5 + 1.0 + controls.ravel() + 2 * cases.ravel()
-        chains = posterior._chains(a, b)
+        chains = betacdf._chains(a, b)
         assert chains["roots"].size < a.size / 2
         assert chains["series"].size == 1
         assert 0.0 < chains["bound"] < 1e-9
         x = np.array([0.4975, 0.4992, 0.5, 0.501, 0.503])
-        cdf, _ = posterior._chained_cdf(a, b, chains, x)
+        cdf, _ = chained_cdf(a, b, chains, x)
         assert_within_bound(a, b, chains, x, cdf)
         for j in (0, 59, 130, 239):
             i = j % x.size
@@ -376,12 +389,12 @@ class TestChainedCdf:
     def test_table_without_chains_is_betainc(self, shapes, data):
         # without links every CDF is the series' own, bit for bit
         a, b = np.array(shapes).T
-        chains = posterior._chains(a, b)
+        chains = betacdf._chains(a, b)
         assume(chains["series"].size == a.size)
         x = data.draw(cdf_points(a, b))
-        cdf, _ = posterior._chained_cdf(a, b, chains, x)
+        cdf, _ = chained_cdf(a, b, chains, x)
         assert chains["b_links"] == chains["a_links"] == 0
-        assert np.array_equal(cdf, posterior._series_cdf(a, b, x[:, None])[0])
+        assert np.array_equal(cdf, betacdf._series_cdf(a, b, x[:, None])[0])
 
     @pytest.mark.parametrize("x", [1.0 - 2.0**-53, 1.0 - 1e-9, 1.0 - 1e-6, 0.75, 0.5, 1e-9,
                                    2.0**-53])
@@ -391,9 +404,9 @@ class TestChainedCdf:
         exact = mp_beta_cdf(0.5, 0.5, x)
         tol = np.spacing(exact) if x > 1.0 - 1e-5 else 16 * EPS
         a, b = np.array([0.5, 0.5, 1.5, 2.5]), np.array([0.5, 1.5, 0.5, 0.5])
-        chains = posterior._chains(a, b)
+        chains = betacdf._chains(a, b)
         assert chains["series"].tolist() == [0] and chains["a_links"] == 2
-        cdf, _ = posterior._chained_cdf(a, b, chains, np.array([x]))
+        cdf, _ = chained_cdf(a, b, chains, np.array([x]))
         assert abs(cdf[0, 0] - exact) <= tol
         mix = BetaMixture(weights=np.array([1.0]), a=a[:1], b=b[:1])
         assert abs(mix.cdf(x) - exact) <= tol
@@ -437,6 +450,7 @@ class TestCiBand:
         band = ci_band(proc, [], grid=grid)
         assert band.grid.tolist() == grid.tolist()
         assert band.lower.size == 3
+        assert ci_band(proc, [], grid=grid[:0]).lower.size == 0
 
     def test_grid_order_does_not_change_values(self):
         # blocks are inverted in position order whatever order the grid lists them in
@@ -468,6 +482,124 @@ class TestCiBand:
         # every component is a link's or a series root's, and most are links
         assert comps == b_links + a_links + series
         assert a_links > 0 and series < comps / 10 and terms > 0
+
+
+    def test_truncation_line_reports_the_dropped_mass(self, caplog):
+        # the cap keeps each boundary's 100 heaviest candidates; the line reports the
+        # largest and the summed share of epsilon-truncated posterior mass it cut
+        rng = np.random.default_rng(11)
+        p_vec = np.full(4000, 0.45)
+        p_vec[1300:2600] = 0.55
+        p_vec[2600:] = 0.48
+        proc = proc_from_z((rng.random(4000) < p_vec).astype(int))
+        taus = [1301, 2601]
+        with caplog.at_level(logging.DEBUG, logger="seqscan.posterior"):
+            ci_band(proc, taus, level=0.9)
+        lines = [r.getMessage() for r in caplog.records
+                 if "boundary posteriors" in r.getMessage()]
+        assert len(lines) == 1
+        segs = segment_bounds(taus, proc.m)
+        dropped = []
+        for (lo, _), (_, hi) in zip(segs, segs[1:]):
+            idx, _, _, cut = _boundary_posterior(proc, lo, hi, 1.0, 1.0, 1e-4)
+            logs = cp_likelihoods(proc, 1.0, 1.0, lo=lo, hi=hi)
+            full = posterior_weights(CpLikelihoods(logs.indices[:-1], logs.log_l[:-1]), 1e-4)
+            assert full.indices.size > idx.size == posterior.MAX_BOUNDARY_CANDIDATES
+            dropped.append(full.weights[~np.isin(full.indices, idx)].sum())
+            assert cut == pytest.approx(dropped[-1], rel=0, abs=1e-12)
+        assert min(dropped) > 0
+        assert lines[0].endswith(f"truncated 2 of 2 boundary posteriors, dropping at most "
+                                 f"{max(dropped):.3g} of one posterior's mass and "
+                                 f"{sum(dropped):.3g} summed over all")
+
+    def test_solver_debug_line_matches_an_outside_count(self, caplog, monkeypatch):
+        # the solver's own counts against wrappers of the two CDF routines it calls
+        seen = dict.fromkeys(("series calls", "series evaluations", "chained passes",
+                              "CDF entries"), 0)
+        series_cdf, chained = posterior._series_cdf, posterior._chained_cdf
+
+        def counted_series_cdf(a, b, x, peak=None):
+            seen["series calls"] += 1
+            seen["series evaluations"] += np.broadcast(a, b, x).size
+            return series_cdf(a, b, x, peak)
+
+        def counted_chained_cdf(a, b, chains, x, at_series):
+            seen["chained passes"] += 1
+            seen["CDF entries"] += x.size * a.size
+            return chained(a, b, chains, x, at_series)
+
+        monkeypatch.setattr(posterior, "_series_cdf", counted_series_cdf)
+        monkeypatch.setattr(posterior, "_chained_cdf", counted_chained_cdf)
+        rng = np.random.default_rng(8)
+        p_vec = np.where((np.arange(3000) >= 1000) & (np.arange(3000) < 2000), 0.6, 0.4)
+        proc = proc_from_z((rng.random(3000) < p_vec).astype(int))
+        with caplog.at_level(logging.DEBUG, logger="seqscan.posterior"):
+            band = ci_band(proc, [1001, 2001])
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("band solver:")]
+        assert len(lines) == 1
+        counts = {name: int(n) for n, name in
+                  (part.split(" ", 1) for part in lines[0][len("band solver: "):].split(", "))}
+        assert counts["steps"] == seen["series calls"] > 0
+        for key in ("series evaluations", "chained passes", "CDF entries"):
+            assert counts[key] == seen[key], key
+        # two levels per block, each evaluated at least once
+        blocks = np.unique(np.stack([band.lower, band.upper]), axis=1).shape[1]
+        assert counts["quantile evaluations"] >= 2 * blocks
+        assert 0 <= counts["bisections"] <= counts["quantile evaluations"]
+        assert counts["missed quantiles"] == 0
+
+
+def solver_tables():
+    """Component tables of different kinds and sizes, as (weights, a, b)."""
+    rng = np.random.default_rng(17)
+    cases, controls = (v.ravel() for v in np.meshgrid(np.arange(6), np.arange(40),
+                                                      indexing="ij"))
+    lattice = (20.5 + cases, 30.5 + controls)  # half-prior shapes: non-integer, linked
+    return [
+        (np.ones((1, 1)), np.array([3.0]), np.array([40.0])),  # one component
+        (rng.dirichlet(np.ones(cases.size), 5), *lattice),
+        # without links: random non-integer shapes far apart, a bimodal mixture
+        (rng.dirichlet(np.ones(12), 3), rng.uniform(0.5, 300.0, 12), rng.uniform(0.5, 300.0, 12)),
+        # an integer lattice at larger counts, one row
+        (rng.dirichlet(np.ones(200), 1), 400.0 + np.repeat(np.arange(5), 40),
+         900.0 + np.tile(np.arange(40), 5)),
+    ]
+
+
+def solve_tables(tables, levels):
+    built = [posterior._table(np.diff(w, axis=0, prepend=0.0), a, b) for w, a, b in tables]
+    bounds, counts = posterior._quantiles(built, levels)
+    return built, bounds, counts
+
+
+def missed_by_scalar_cdf(built, bounds, levels):
+    """Quantiles whose |F - q| exceeds 1e-8 by ``BetaMixture.cdf`` of their row."""
+    missed = 0
+    for table, bd in zip(built, bounds):
+        for row, xs in zip(posterior._weights(table), bd):
+            keep = row > 0
+            mix = BetaMixture(weights=row[keep] / row[keep].sum(), a=table["a"][keep],
+                              b=table["b"][keep])
+            missed += sum(abs(mix.cdf(x) - q) > 1e-8 for q, x in zip(levels, xs))
+    return missed
+
+
+def test_one_solve_meets_the_tolerance_on_every_table(monkeypatch):
+    levels = (1e-6, 0.025, 0.5, 0.975)
+    built, bounds, counts = solve_tables(solver_tables(), levels)
+    assert [bd.shape for bd in bounds] == [(1, 4), (5, 4), (3, 4), (1, 4)]
+    assert counts["steps"] > 0 and counts["chained passes"] >= counts["steps"]
+    assert missed_by_scalar_cdf(built, bounds, levels) == counts["missed quantiles"] == 0
+    # one point per chained pass and the narrowest series chunks change only the
+    # rounding of F, so every quantile still meets the tolerance
+    monkeypatch.setattr(posterior, "_BATCH_ENTRIES", 1)
+    monkeypatch.setattr(betacdf, "_SERIES_ENTRIES", 1)
+    built, again, counts_again = solve_tables(solver_tables(), levels)
+    assert counts_again["chained passes"] > counts["chained passes"]
+    assert missed_by_scalar_cdf(built, again, levels) == counts_again["missed quantiles"] == 0
+    for bd, bd_again in zip(bounds, again):
+        assert bd.shape == bd_again.shape
 
 
 @st.composite
