@@ -11,6 +11,7 @@ functions of (inputs, flags, seed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import math
 import operator
@@ -84,6 +85,15 @@ def _number(kind, **bounds):
     return parse
 
 
+def _chrom_name(text: str) -> str:
+    """argparse ``type=``: a chromosome name that reads back as the first field of a row."""
+    if text.startswith("#") or any(c in text for c in "\t\n\r"):
+        raise argparse.ArgumentTypeError(
+            f"expected a name that does not start with '#' and holds no tab or line break, "
+            f"got {text!r}")
+    return text
+
+
 def _fmt(x) -> str:
     return f"{x:.10g}" if isinstance(x, float) else str(x)
 
@@ -94,13 +104,19 @@ def _tsv_lines(rows):
 
 
 def _write_atomic(path: str, header: str, lines) -> None:
+    """Write ``path`` through ``path.tmp``; a failed write leaves neither file behind."""
     tmp = path + ".tmp"
+    opened = False
     try:
         with open(tmp, "w") as fh:
+            opened = True
             fh.write("#" + header + "\n")
             fh.writelines(lines)
         os.replace(tmp, path)
     except OSError as exc:
+        if opened:  # never a path that open() refused, such as a directory
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
@@ -401,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", parents=[common], help="spike-in read simulation")
     sim.add_argument("--control", help="real control reads for the baseline (else synthetic)")
-    sim.add_argument("--chrom", default="chr1")
+    sim.add_argument("--chrom", type=_chrom_name, default="chr1")
     sim.add_argument("--n-segments", type=_number(int, ge=0, le=10**5), default=50)
     sim.add_argument("--reads", type=_number(int, ge=0, le=10**9), default=100_000,
                      help="target reads per sample")

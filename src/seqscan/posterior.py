@@ -63,12 +63,13 @@ class BetaMixture:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.size == 0:
             raise ValueError("mixture needs at least one component")
-        if np.any(w <= 0):
+        if not np.all(w > 0):
             raise ValueError("mixture weights must be positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("mixture weights must sum to 1")
-        if np.any(np.asarray(self.a) <= 0) or np.any(np.asarray(self.b) <= 0):
-            raise ValueError("Beta shape parameters must be positive")
+        shapes = np.concatenate([np.ravel(self.a), np.ravel(self.b)])
+        if not np.all((shapes > 0) & (shapes < np.inf)):
+            raise ValueError("Beta shape parameters must be finite and positive")
 
     def cdf(self, x: float) -> float:
         return float(np.dot(self.weights, _series_cdf(self.a, self.b, x)[0]))
@@ -88,8 +89,14 @@ class PosteriorBand:
 
 
 def _check_prior(alpha: float, beta: float) -> None:
-    if alpha <= 0 or beta <= 0:
-        raise InputError(f"prior parameters must be positive, got alpha={alpha}, beta={beta}")
+    if not (0.0 < alpha < np.inf and 0.0 < beta < np.inf):
+        raise InputError(f"prior parameters must be finite and positive, got alpha={alpha}, "
+                         f"beta={beta}")
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not (0.0 < epsilon < 1.0):
+        raise InputError(f"epsilon must be in (0, 1), got {epsilon}")
 
 
 def cp_likelihoods(
@@ -123,8 +130,7 @@ def cp_likelihoods(
 
 def posterior_weights(logs: CpLikelihoods, epsilon: float = 1e-4) -> TruncatedWeights:
     """Ratio weights against the best location, truncated at epsilon, normalized."""
-    if not (0.0 < epsilon < 1.0):
-        raise InputError(f"epsilon must be in (0, 1), got {epsilon}")
+    _check_epsilon(epsilon)
     r = np.exp(logs.log_l - logs.log_l_max)
     keep = r > epsilon
     idx = logs.indices[keep]
@@ -159,8 +165,8 @@ _MAX_STEPS = 200
 # CDF matrix entries (points x components) per chained pass: bounds the solver's memory
 _BATCH_ENTRIES = 1 << 18
 # entries that the tables of one band solve hold (four per component, for a, b,
-# log B(a, b) and links, plus the nonzero weight increments): segments join a
-# solve until their tables reach this, which bounds the band's memory
+# log B(a, b) and links, plus every row's weights): segments join a solve until
+# their tables reach this, which bounds the band's memory
 _SOLVE_ENTRIES = 1 << 18
 # a larger density only shortens a Newton step; capping the log of 1 / (x (1 - x))
 # keeps the density finite when x is near 0 or 1
@@ -171,45 +177,34 @@ _SOLVER_COUNTS = ("steps", "chained passes", "quantile evaluations", "CDF entrie
                   "series evaluations", "series terms", "bisections", "missed quantiles")
 
 
-def _table(increments, a, b):
+def _table(weights, a, b):
     """A component table of the band solver: mixture rows over the components Beta(a, b).
 
-    Row r's weights are the running sum of ``increments`` over rows 0..r.  Only
-    the nonzero increments are kept (about a third of the rows' entries on a
-    band's tables), and ``_weights`` rebuilds the rows from them, bit for bit.
-    The table also holds its chains and each row's moment-matched normal (mean
-    and standard deviation), where the Newton method starts.
+    ``weights`` holds one row of mixture weights per mixture.  The table also
+    holds the components' chains, each row's weight on every chain
+    (``on_chain``, see ``_rows_at``) and each row's moment-matched normal
+    (mean and standard deviation), where the Newton method starts.
     """
-    weights = np.cumsum(increments, axis=0)
+    chains = _chains(a, b)
     mean = a / (a + b)
     mu = weights @ mean
     var = weights @ (mean * (1.0 - mean) / (a + b + 1.0) + mean**2) - mu**2
-    flat = increments.ravel()
-    at = np.flatnonzero(flat)
-    return {"a": a, "b": b, "chains": _chains(a, b), "shape": increments.shape,
-            "at": at.astype(np.min_scalar_type(flat.size)), "inc": flat[at],
+    return {"a": a, "b": b, "chains": chains, "weights": weights,
+            "on_chain": np.add.reduceat(weights, chains["roots"], axis=1),
             "mu": mu, "sd": np.sqrt(np.maximum(var, 0.0))}
-
-
-def _weights(table):
-    """The mixture weights of a ``_table``, one row per mixture."""
-    flat = np.zeros(table["shape"][0] * table["shape"][1])
-    flat[table["at"]] = table["inc"]
-    return np.cumsum(flat.reshape(table["shape"]), axis=0)
 
 
 def _rows_at(table, x, at_series, counts):
     """Each row's mixture CDF, and x (1 - x) times its density, at the points x (columns)."""
     a, b, chains = table["a"], table["b"], table["chains"]
-    weights = _weights(table)
-    # a row's F: its weights times the components' distances from their chain
-    # roots, plus its weight on each chain times the chain root's CDF
-    on_chain = np.add.reduceat(weights, chains["roots"], axis=1)
+    weights, on_chain = table["weights"], table["on_chain"]
     cdf_rows = np.empty((weights.shape[0], x.size))
     dens_rows = np.empty_like(cdf_rows)
     per = max(1, _BATCH_ENTRIES // a.size)
     for k in range(0, x.size, per):
         offsets, at_root, g = _chained_cdf(a, b, chains, x[k : k + per], at_series[k : k + per])
+        # a row's F: its weights times the components' distances from their chain
+        # roots, plus its weight on each chain times the chain root's CDF
         cdf_rows[:, k : k + per] = weights @ offsets.T + on_chain @ at_root.T
         dens_rows[:, k : k + per] = weights @ g.T
         counts["chained passes"] += 1
@@ -239,7 +234,7 @@ def _quantiles(tables, levels):
     """
     levels = np.asarray(levels, dtype=np.float64)
     counts = dict.fromkeys(_SOLVER_COUNTS, 0)
-    n_rows = np.array([t["shape"][0] for t in tables], dtype=np.int64)
+    n_rows = np.array([t["weights"].shape[0] for t in tables], dtype=np.int64)
     # quantiles in (table, row, level) order
     every_row = np.repeat(np.arange(n_rows.sum()), levels.size)
     tab = np.repeat(np.arange(n_rows.size), n_rows)[every_row]
@@ -403,80 +398,60 @@ def _boundary_posterior(process, window_lo, window_hi, alpha, beta, epsilon):
     return idx, w, r, dropped
 
 
-def _segment_mixture_pairs(process, reads, left, right, alpha, beta, epsilon):
-    """Joint flanking-boundary candidates for one segment.
+def _segment_table(S, reads, left, right, alpha, beta, epsilon, t):
+    """One segment's ``_table`` of mixtures, and the row of each read in ``t``.
 
     ``reads`` holds the first read of the previous segment (1 for the first
     segment), the segment's first and last read, and the last read of the
-    next segment (m for the last); ``left`` and ``right`` are its boundary
-    posteriors as ``_boundary_posterior`` returns them.  Returns per-pair
-    arrays: split positions, weight, and the Beta parameters the pair implies
-    for positions left of the segment, inside it, and right of it.
+    next segment (m for the last), and ``t`` reads between the first and the
+    last of these; ``left`` and ``right`` are the segment's boundary
+    posteriors as ``_boundary_posterior`` returns them, splits ascending.
+    Each pair of a left split cl and a right split cr with cl < cr and joint
+    likelihood ratio above epsilon weighs the product of the two weights
+    (the called boundaries alone if no pair does).  At read t a pair
+    contributes the Beta posterior of the reads left of the segment while
+    t <= cl, of the reads inside it while cl < t <= cr, and of the reads
+    right of it after that.  So reads with the same number of splits below
+    them share a row, and rows ascend with t whatever the order of ``t``.
     """
-    S = process.S
     prev_start, start, end, next_end = reads
     cl, wl, rl = left[:3]
     cr, wr, rr = right[:3]
-    CL = np.repeat(cl, cr.size)
-    CR = np.tile(cr, cl.size)
-    W = np.repeat(wl, cr.size) * np.tile(wr, cl.size)
-    R = np.repeat(rl, cr.size) * np.tile(rr, cl.size)
-    keep = (CL < CR) & (R > epsilon)
+    keep = (cl[:, None] < cr) & (rl[:, None] * rr > epsilon)
     if not keep.any():
         # inconsistent flanking posteriors: fall back to the called boundaries
-        CL = np.array([start - 1], dtype=np.int64)
-        CR = np.array([end], dtype=np.int64)
-        W = np.ones(1)
-    else:
-        CL, CR, W = CL[keep], CR[keep], W[keep]
-        W = W / W.sum()
-
-    s_in = S[CR] - S[CL]
-    n_in = CR - CL
-    s_prev = S[CL] - S[prev_start - 1]
-    n_prev = CL - prev_start + 1
-    s_next = S[next_end] - S[CR]
-    n_next = next_end - CR
-    # (case, control) counts of every component: before, inside and after the segment
-    cases = np.concatenate([s_prev, s_in, s_next])
-    controls = np.concatenate([n_prev - s_prev, n_in - s_in, n_next - s_next])
-    # collapse identical Beta components once; classes then just re-weight ids.
-    # One integer key per count pair sorts like the pair and is much faster to unique
-    _, first, inv = np.unique(
-        cases * (controls.max() + 1) + controls, return_index=True, return_inverse=True
-    )
-    uniq = np.stack([alpha + cases[first], beta + controls[first]], axis=1).astype(float)
-    n = CL.size
-    return {
-        "CL": CL,
-        "CR": CR,
-        "w": W,
-        "comp_ab": uniq,
-        "prev_id": inv[:n],
-        "in_id": inv[n : 2 * n],
-        "next_id": inv[2 * n :],
-    }
-
-
-def _block_increments(pairs, t):
-    """Increments of the mixture weights over ``comp_ab`` at each read of ascending ``t``.
-
-    A pair contributes its left-of-segment component while t <= CL, its
-    inside component while CL < t <= CR and its right-of-segment component
-    after that.  Each pair adds its weight to the row where it enters a class
-    and subtracts it where it leaves; a cumulative sum down the rows then
-    assembles every row's weights (see ``_table``).
-    """
-    ncomp = pairs["comp_ab"].shape[0]
-    enter_in = np.searchsorted(t, pairs["CL"], side="right")
-    enter_next = np.searchsorted(t, pairs["CR"], side="right")
-    w = pairs["w"]
-    rows = np.concatenate([np.zeros_like(enter_in), enter_in, enter_in, enter_next, enter_next])
-    comps = np.concatenate([pairs["prev_id"], pairs["prev_id"], pairs["in_id"], pairs["in_id"],
-                            pairs["next_id"]])
-    delta = np.bincount(rows * ncomp + comps, weights=np.concatenate([w, -w, w, -w, w]),
-                        minlength=(t.size + 1) * ncomp)
-    return delta.reshape(t.size + 1, ncomp)[:-1]
+        cl, wl, cr, wr = np.array([start - 1]), np.ones(1), np.array([end]), np.ones(1)
+        keep = np.ones((1, 1), dtype=bool)
+    i, j = np.nonzero(keep)
+    w = wl[i] * wr[j]
+    w /= w.sum()
+    # one component left of the segment per used left split, one inside it per
+    # pair and one right of it per used right split, each with its pairs' weight
+    used_l, used_r = np.flatnonzero(keep.any(axis=1)), np.flatnonzero(keep.any(axis=0))
+    sl, sr, CL, CR = cl[used_l], cr[used_r], cl[i], cr[j]
+    lo = np.concatenate([np.full(sl.size, prev_start - 1), CL, sr])
+    hi = np.concatenate([sl, CR, np.full(sr.size, next_end)])
+    # merge identical components: one integer key per (case, control) count pair
+    cases = S[hi] - S[lo]
+    controls = hi - lo - cases
+    base = controls.max() + 1
+    keys, comp = np.unique(cases * base + controls, return_inverse=True)
+    a, b = alpha + keys // base, beta + keys % base
+    # a read's row: the rank of its count of splits below among the counts seen
+    cuts = distinct_sorted(np.sort(np.concatenate([sl, sr])))
+    below = np.searchsorted(cuts, t)
+    upto = np.cumsum(np.bincount(below, minlength=cuts.size + 1) > 0)
+    rows = upto[below] - 1
+    # a component of reads lo + 1..hi weighs in over the rows of those reads:
+    # it steps up at the first such row and down after the last
+    row_read = np.empty(upto[-1], dtype=t.dtype)
+    row_read[rows] = t
+    edges = np.searchsorted(row_read, np.concatenate([lo, hi]), side="right")
+    weight = np.concatenate([np.bincount(i, w)[used_l], w, np.bincount(j, w)[used_r]])
+    steps = np.bincount(edges * a.size + np.tile(comp, 2), np.concatenate([weight, -weight]),
+                        (row_read.size + 1) * a.size)
+    weights = np.cumsum(steps.reshape(-1, a.size)[:-1], axis=0)
+    return rows, _table(weights, a, b)
 
 
 def ci_band(
@@ -498,6 +473,8 @@ def ci_band(
     """
     if not (0.0 < level < 1.0):
         raise InputError(f"level must be in (0, 1), got {level}")
+    _check_prior(alpha, beta)
+    _check_epsilon(epsilon)
     m = process.m
     if m == 0:
         raise InputError("empty process")
@@ -537,9 +514,9 @@ def ci_band(
     def solve():
         # the block quantiles of every pending segment in one Newton loop
         bounds, solved = _quantiles([table for *_, table in pending], (q_lo, q_hi))
-        for (sel, block, table), bd in zip(pending, bounds):
-            lower[sel] = bd[block, 0]
-            upper[sel] = bd[block, 1]
+        for (sel, rows, table), bd in zip(pending, bounds):
+            lower[sel] = bd[rows, 0]
+            upper[sel] = bd[rows, 1]
             chains = table["chains"]
             np.add(links, (table["a"].size, chains["b_links"], chains["a_links"],
                            chains["series"].size), out=links)
@@ -551,24 +528,13 @@ def ci_band(
         sel = np.flatnonzero(seg_of_t == k)
         if sel.size == 0:
             continue
-        n_seg = end - start + 1
-        p_hat = process.case_count(start, end) / n_seg
-        point[sel] = p_hat
-        pairs = _segment_mixture_pairs(
-            process, (prev_starts[k], start, end, next_ends[k + 1]), boundaries[k],
-            boundaries[k + 1], alpha, beta, epsilon,
+        point[sel] = process.case_count(start, end) / (end - start + 1)
+        rows, table = _segment_table(
+            process.S, (prev_starts[k], start, end, next_ends[k + 1]), boundaries[k],
+            boundaries[k + 1], alpha, beta, epsilon, t_of_grid[sel],
         )
-        # the class mixture changes only where t crosses a candidate boundary:
-        # one block per run of reads between consecutive distinct candidates
-        cuts = distinct_sorted(np.sort(np.concatenate([pairs["CL"], pairs["CR"]])))
-        _, first, block = np.unique(
-            np.searchsorted(cuts, t_of_grid[sel]), return_index=True, return_inverse=True
-        )
-        increments = _block_increments(pairs, t_of_grid[sel[first]])
-        a, b = np.ascontiguousarray(pairs["comp_ab"].T)
-        del pairs  # a solve may follow: hold only the table
-        pending.append((sel, block, _table(increments, a, b)))
-        if sum(4 * t["a"].size + t["inc"].size for *_, t in pending) >= _SOLVE_ENTRIES:
+        pending.append((sel, rows, table))
+        if sum(4 * t["a"].size + t["weights"].size for *_, t in pending) >= _SOLVE_ENTRIES:
             solve()
     if pending:
         solve()

@@ -184,8 +184,6 @@ class StatKernel:
     def objective(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
         I = np.asarray(I, dtype=np.int64)
         J = np.asarray(J, dtype=np.int64)
-        if I.size <= self.CHUNK:
-            return self._objective_block(I, J)
         out = np.empty(I.size)
         for k in range(0, I.size, self.CHUNK):
             sl = slice(k, k + self.CHUNK)

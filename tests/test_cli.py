@@ -141,7 +141,8 @@ class TestSegmentCommand:
         "calls_index_below_one_bp", "reads_above_bound", "huge_reads", "n_segments_above_bound",
         "min_seg_bp_below_one", "span_bins_above_bound", "control_bins_above_bound",
         "span_bp_above_max_position", "case_position_above_max", "layout_cannot_fit",
-        "truth_bp_negative", "truth_bp_above_max",
+        "truth_bp_negative", "truth_bp_above_max", "chrom_comment", "chrom_tab",
+        "chrom_newline", "chrom_carriage_return",
     ])
     def test_input_error_exit_code(self, tmp_path, capsys, monkeypatch, mistake):
         def no_sampling(*args, **kwargs):
@@ -211,13 +212,19 @@ class TestSegmentCommand:
             "layout_cannot_fit": simulate + ["--n-segments", str(10**5)],
             "truth_bp_negative": evaluate + ["--truth", str(tmp_path / "neg_truth.tsv")],
             "truth_bp_above_max": evaluate + ["--truth", str(tmp_path / "far_truth.tsv")],
+            # a name that would write comment rows, or rows that do not read back
+            "chrom_comment": simulate + ["--chrom", "#x"],
+            "chrom_tab": simulate + ["--chrom", "chr\t1"],
+            "chrom_newline": simulate + ["--chrom", "chr1\nchr2"],
+            "chrom_carriage_return": simulate + ["--chrom", "chr1\r"],
         }[mistake]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("seqscan: error: ")
         assert not out.exists() or list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("blocked", ["out_dir_is_file", "tmp_path_is_directory"])
+    @pytest.mark.parametrize("blocked", ["out_dir_is_file", "tmp_path_is_directory",
+                                         "band_path_is_directory"])
     def test_unwritable_output_exit_code(self, tmp_path, capsys, blocked):
         case, control = tmp_path / "case.tsv", tmp_path / "control.tsv"
         write_reads(case, range(0, 400, 2))
@@ -225,8 +232,11 @@ class TestSegmentCommand:
         out = tmp_path / "out"
         if blocked == "out_dir_is_file":
             out.write_text("keep")
-        else:
+        elif blocked == "tmp_path_is_directory":
             (out / "segments.tsv.tmp").mkdir(parents=True)
+        else:
+            # band.tsv.tmp is written in full, then cannot replace the directory
+            (out / "band.tsv").mkdir(parents=True)
         rc = cli.main(["segment", "--case", str(case), "--control", str(control),
                        "--out-dir", str(out)])
         assert rc == 2
@@ -234,8 +244,10 @@ class TestSegmentCommand:
         assert len(err) == 1 and err[0].startswith("seqscan: error: ")
         if blocked == "out_dir_is_file":
             assert out.read_text() == "keep"
-        else:
+        elif blocked == "tmp_path_is_directory":
             assert not (out / "segments.tsv").exists() and not (out / "band.tsv").exists()
+        else:
+            assert (out / "band.tsv").is_dir() and list(out.glob("*.tmp")) == []
 
     def test_missing_inputs_rejected(self, tmp_path, capsys):
         rc = cli.main(["segment", "--out-dir", str(tmp_path)])

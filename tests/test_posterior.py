@@ -21,7 +21,7 @@ from seqscan import (
     posterior_weights,
 )
 from seqscan import betacdf, posterior
-from seqscan.posterior import _boundary_posterior, _segment_mixture_pairs
+from seqscan.posterior import _boundary_posterior
 from seqscan.process import segment_bounds
 
 from conftest import bernoulli_process, proc_from_z
@@ -75,6 +75,12 @@ class TestCpLikelihoods:
     def test_bad_prior(self):
         with pytest.raises(InputError):
             cp_likelihoods(proc_from_z([1, 0]), 0.0, 1.0)
+
+    @pytest.mark.parametrize("alpha,beta", [(-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+                                            (1.0, math.nan), (1.0, math.inf)])
+    def test_prior_must_be_finite_and_positive(self, alpha, beta):
+        with pytest.raises(InputError, match="finite and positive"):
+            cp_likelihoods(proc_from_z([1, 0, 1]), alpha, beta)
 
 
 class TestPosteriorWeights:
@@ -208,6 +214,15 @@ class TestMixtureQuantile:
             BetaMixture(weights=np.array([0.5, 0.4]), a=np.ones(2), b=np.ones(2))
         with pytest.raises(ValueError):
             BetaMixture(weights=np.array([1.0]), a=np.array([0.0]), b=np.ones(1))
+
+    @pytest.mark.parametrize("weights,a,b", [
+        ([math.nan], [1.0], [1.0]), ([0.5, math.nan], [1.0, 2.0], [1.0, 2.0]),
+        ([1.0], [math.nan], [1.0]), ([1.0], [1.0], [math.nan]),
+        ([1.0], [math.inf], [1.0]), ([1.0], [1.0], [math.inf]),
+    ])
+    def test_non_finite_mixture_rejected(self, weights, a, b):
+        with pytest.raises(ValueError):
+            BetaMixture(weights=np.array(weights), a=np.array(a), b=np.array(b))
 
 
 EPS = np.finfo(float).eps
@@ -459,14 +474,26 @@ class TestCiBand:
         proc = proc_from_z((rng.random(1000) < p_vec).astype(int))
         grid = np.unique(proc.W)
         fwd = ci_band(proc, [301, 651], grid=grid)
-        rev = ci_band(proc, [301, 651], grid=grid[::-1])
-        assert rev.grid.tolist() == grid[::-1].tolist()
-        for name in ("lower", "upper", "point_est"):
-            assert np.allclose(getattr(rev, name), getattr(fwd, name)[::-1], rtol=0, atol=1e-6)
+        for order in (np.arange(grid.size)[::-1], rng.permutation(grid.size)):
+            band = ci_band(proc, [301, 651], grid=grid[order])
+            assert band.grid.tolist() == grid[order].tolist()
+            for name in ("lower", "upper", "point_est"):
+                assert np.allclose(getattr(band, name), getattr(fwd, name)[order], rtol=0,
+                                   atol=1e-6)
 
     def test_level_validated(self):
         with pytest.raises(InputError):
             ci_band(bernoulli_process(0.5, 50, 0), [], level=1.5)
+
+    @pytest.mark.parametrize("params", [
+        {"alpha": 0.0}, {"alpha": -2.0}, {"alpha": math.inf}, {"beta": math.nan},
+        {"beta": 0.0}, {"epsilon": 5.0}, {"epsilon": 0.0}, {"epsilon": 1.0},
+        {"epsilon": math.nan},
+    ])
+    def test_band_parameters_validated(self, params):
+        # checked before any boundary posterior: none is built without change points
+        with pytest.raises(InputError):
+            ci_band(bernoulli_process(0.5, 50, 0), [], **params)
 
     def test_one_debug_line_counts_the_links(self, caplog):
         rng = np.random.default_rng(8)
@@ -568,7 +595,7 @@ def solver_tables():
 
 
 def solve_tables(tables, levels):
-    built = [posterior._table(np.diff(w, axis=0, prepend=0.0), a, b) for w, a, b in tables]
+    built = [posterior._table(w, a, b) for w, a, b in tables]
     bounds, counts = posterior._quantiles(built, levels)
     return built, bounds, counts
 
@@ -577,7 +604,7 @@ def missed_by_scalar_cdf(built, bounds, levels):
     """Quantiles whose |F - q| exceeds 1e-8 by ``BetaMixture.cdf`` of their row."""
     missed = 0
     for table, bd in zip(built, bounds):
-        for row, xs in zip(posterior._weights(table), bd):
+        for row, xs in zip(table["weights"], bd):
             keep = row > 0
             mix = BetaMixture(weights=row[keep] / row[keep].sum(), a=table["a"][keep],
                               b=table["b"][keep])
@@ -624,25 +651,49 @@ def test_band_rows_ascend_within_unit_interval(case, level):
     assert ((0.0 <= band.point_est) & (band.point_est <= 1.0)).all()
 
 
-def reference_block_mixture(pairs, t):
-    """Mixture at read t assembled pair by pair: left of, inside or right of the segment."""
-    left_out = pairs["CL"] >= t
-    right_out = pairs["CR"] < t
-    inside = ~(left_out | right_out)
-    ncomp = pairs["comp_ab"].shape[0]
-    w = np.zeros(ncomp)
-    w += np.bincount(pairs["prev_id"][left_out], weights=pairs["w"][left_out], minlength=ncomp)
-    w += np.bincount(pairs["in_id"][inside], weights=pairs["w"][inside], minlength=ncomp)
-    w += np.bincount(pairs["next_id"][right_out], weights=pairs["w"][right_out], minlength=ncomp)
-    keep = w > 0
-    ab = pairs["comp_ab"][keep]
-    return BetaMixture(weights=w[keep] / w[keep].sum(), a=ab[:, 0], b=ab[:, 1])
+def reference_pairs(reads, left, right, epsilon):
+    """A segment's flanking boundary pairs, listed one by one: splits and weights.
+
+    Every left split cl and right split cr of the boundary posteriors with
+    cl < cr and joint likelihood ratio above epsilon, weighted by the product
+    of their weights; the called boundaries alone if no pair qualifies.
+    """
+    _, start, end, _ = reads
+    pairs = [(c_l, c_r, w_l * w_r)
+             for c_l, w_l, r_l in zip(*left[:3]) for c_r, w_r, r_r in zip(*right[:3])
+             if c_l < c_r and r_l * r_r > epsilon]
+    cl, cr, w = (np.array(v) for v in zip(*(pairs or [(start - 1, end, 1.0)])))
+    return cl, cr, w / w.sum()
+
+
+def pair_shapes(proc, reads, pairs, alpha, beta):
+    """Each pair's Beta shapes for the reads left of, inside and right of the segment.
+
+    Returns (a, b), each with rows left, inside and right and one column per pair.
+    """
+    prev_start, _, _, next_end = reads
+    cl, cr, _ = pairs
+    lo = np.stack([np.full_like(cl, prev_start - 1), cl, cr])
+    hi = np.stack([cl, cr, np.full_like(cr, next_end)])
+    cases = proc.S[hi] - proc.S[lo]
+    return alpha + cases, beta + (hi - lo - cases)
+
+
+def reference_block_mixture(pairs, shapes, t):
+    """Mixture at read t: each pair's component left of, inside or right of the segment."""
+    cl, cr, w = pairs
+    side = (t > cl).astype(int) + (t > cr)
+    cols = np.arange(cl.size)
+    ab, comp = np.unique(np.stack([shapes[0][side, cols], shapes[1][side, cols]], axis=1),
+                         axis=0, return_inverse=True)
+    return BetaMixture(weights=np.bincount(comp.ravel(), w), a=ab[:, 0], b=ab[:, 1])
 
 
 def assert_band_bounds_meet_cdf_tolerance(proc, taus, level, epsilon, alpha, beta):
     """Check every band bound against its block's mixture with the scalar CDF.
 
-    Returns the block count, the boundary posteriors and each segment's pairs.
+    Returns the block count, the boundary posteriors and each segment's Beta
+    shapes (see ``pair_shapes``).
     """
     band = ci_band(proc, taus, level=level, epsilon=epsilon, alpha=alpha, beta=beta)
     segs = segment_bounds(taus, proc.m)
@@ -656,31 +707,30 @@ def assert_band_bounds_meet_cdf_tolerance(proc, taus, level, epsilon, alpha, bet
     q_lo = (1.0 - level) / 2.0
     q_hi = 1.0 - q_lo
     blocks = 0
-    tables = []
+    segment_shapes = []
     for k, (start, end) in enumerate(segs):
         prev_start = segs[k - 1][0] if k else 1
         next_end = segs[k + 1][1] if k + 1 < len(segs) else proc.m
-        pairs = _segment_mixture_pairs(
-            proc, (prev_start, start, end, next_end), boundaries[k], boundaries[k + 1],
-            alpha, beta, epsilon,
-        )
-        tables.append(pairs)
+        reads = (prev_start, start, end, next_end)
+        pairs = reference_pairs(reads, boundaries[k], boundaries[k + 1], epsilon)
+        shapes = pair_shapes(proc, reads, pairs, alpha, beta)
+        segment_shapes.append(shapes)
         seen = set()
         for t in range(start, end + 1):
             # the mixture depends on t only through which pairs t falls left or right of
-            key = (int((pairs["CL"] >= t).sum()), int((pairs["CR"] < t).sum()))
+            key = (int((pairs[0] >= t).sum()), int((pairs[1] < t).sum()))
             if key in seen:
                 # rows of one block carry the block's bounds
                 assert band.lower[t - 1] == band.lower[t - 2]
                 assert band.upper[t - 1] == band.upper[t - 2]
                 continue
             seen.add(key)
-            mix = reference_block_mixture(pairs, t)
+            mix = reference_block_mixture(pairs, shapes, t)
             assert abs(mix.cdf(band.lower[t - 1]) - q_lo) <= 1e-8, (k, t)
             assert abs(mix.cdf(band.upper[t - 1]) - q_hi) <= 1e-8, (k, t)
         assert len(seen) > 1
         blocks += len(seen)
-    return blocks, inner, tables
+    return blocks, inner, segment_shapes
 
 
 def test_every_band_bound_meets_cdf_tolerance(caplog):
@@ -707,13 +757,32 @@ def test_band_bounds_meet_cdf_tolerance_under_half_prior():
     p_vec[2200:3500] = 0.35
     p_vec[3500:] = 0.5
     proc = proc_from_z((rng.random(5000) < p_vec).astype(int))
-    blocks, _, tables = assert_band_bounds_meet_cdf_tolerance(
+    blocks, _, segment_shapes = assert_band_bounds_meet_cdf_tolerance(
         proc, [1001, 2201, 3501], level=0.95, epsilon=1e-4, alpha=0.5, beta=0.5)
     assert blocks > 50, blocks
-    for pairs in tables:
-        ab = pairs["comp_ab"]
+    for a, b in segment_shapes:
+        # the segment's distinct components
+        ab = np.unique(np.stack([a.ravel(), b.ravel()], axis=1), axis=0)
         assert (ab % 1.0 == 0.5).all()
         chains = posterior._chains(ab[:, 0], ab[:, 1])
         # most components come from a link, not from betainc
         assert chains["roots"].size < ab.shape[0] / 2
         assert 0.0 < chains["bound"] < 1e-9
+
+
+def test_inconsistent_boundary_posteriors_give_the_called_boundaries():
+    # every left split lies at or right of every right split, so no pair is a
+    # segment: the table falls back to the called boundaries, reads 20 and 40
+    proc = bernoulli_process(0.4, 60, seed=5)
+    S = proc.S
+    left = (np.array([41, 45]), np.array([0.7, 0.3]), np.array([1.0, 0.4]))
+    right = (np.array([30, 41]), np.array([0.5, 0.5]), np.array([1.0, 1.0]))
+    t = np.arange(60, 0, -1)  # every read, in descending order
+    rows, table = posterior._segment_table(S, (1, 21, 40, 60), left, right, 1.0, 2.0, 1e-4, t)
+    assert rows.tolist() == ((t > 20).astype(int) + (t > 40)).tolist()
+    # row r: one Beta posterior, of reads 1..20, 21..40 or 41..60
+    for r, (lo, hi) in enumerate(((0, 20), (20, 40), (40, 60))):
+        on = table["weights"][r] != 0
+        assert table["weights"][r][on].tolist() == [1.0]
+        cases = S[hi] - S[lo]
+        assert (table["a"][on][0], table["b"][on][0]) == (1.0 + cases, 2.0 + hi - lo - cases)
