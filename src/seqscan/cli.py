@@ -87,10 +87,10 @@ def _number(kind, **bounds):
 
 def _chrom_name(text: str) -> str:
     """argparse ``type=``: a chromosome name that reads back as the first field of a row."""
-    if text.startswith("#") or any(c in text for c in "\t\n\r"):
+    if text.startswith("#") or any(c in text for c in "\t\n\r/\0"):
         raise argparse.ArgumentTypeError(
-            f"expected a name that does not start with '#' and holds no tab or line break, "
-            f"got {text!r}")
+            f"expected a name that does not start with '#' and holds no tab, line break, '/' or "
+            f"NUL, got {text!r}")
     return text
 
 
@@ -358,19 +358,15 @@ def run_evaluate(args: argparse.Namespace) -> int:
                 raise InputError(f"{args.calls}: start_idx {i} on {chrom} outside 1..{process.m}, "
                                  "the merged read indices")
         # the first segment of each chromosome starts at read 1: not a change point
-        called_idx = chrom_starts[1:]
+        called_idx, truth = chrom_starts[1:], truth_bp.get(chrom, [])
         if args.tolerance_bp is not None:
-            called_pos = [int(process.W[i - 1]) for i in called_idx]
-            report = match_changepoints(
-                called_pos, truth_bp.get(chrom, []), tolerance_reads=args.tolerance_bp
-            )
-            n_true += len(truth_bp.get(chrom, []))
+            report = match_changepoints([int(process.W[i - 1]) for i in called_idx], truth,
+                                        tolerance_reads=args.tolerance_bp)
         else:
-            truth_idx = [nearest_read_index(process, bp) for bp in truth_bp.get(chrom, [])]
-            report = match_changepoints(
-                called_idx, truth_idx, tolerance_reads=args.tolerance_reads
-            )
-            n_true += len(truth_idx)
+            report = match_changepoints(called_idx,
+                                        [nearest_read_index(process, bp) for bp in truth],
+                                        tolerance_reads=args.tolerance_reads)
+        n_true += len(truth)
         n_called += len(called_idx)
         n_matched += report.n_matched
 

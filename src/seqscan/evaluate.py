@@ -1,8 +1,8 @@
 """Match called change points against truth and score recall/precision.
 
-Called and true change points are compared in read-index units under a
-minimal-total-distance one-to-one assignment; pairs farther apart than the
-tolerance are infeasible.
+Called and true change points are compared in read-index units under the
+one-to-one matching with the most pairs within the tolerance and, among
+those, the least total distance.
 """
 
 from __future__ import annotations
@@ -47,42 +47,41 @@ def match_changepoints(called, truth, tolerance_reads: int = 100) -> MatchReport
     those, minimizes total distance.  recall = matched/|truth|,
     precision = matched/|called| (1 when both sides are empty, 0 for an
     empty call set against a non-empty truth).
-    """
-    # imported here: scipy.optimize loads scipy.linalg, which every other command can skip
-    from scipy.optimize import linear_sum_assignment
 
+    |x - y| is a Monge cost on a line: two crossing pairs can swap partners
+    without either growing longer than the longer of the two or the total
+    rising, so some optimal matching pairs the sorted lists in order.  A
+    dynamic program over them is exact.  ``best[i, j]`` is the most
+    pairs * unit - total distance over ``called[:i]`` and ``truth[:j]``; the
+    unit exceeds any total distance, so one more pair outweighs it.  Among
+    equally good matchings, which pairs come back is not specified; their
+    count and total distance are.
+    """
     called = sorted(int(c) for c in called)
     truth = sorted(int(t) for t in truth)
     nc, nt = len(called), len(truth)
-    if nc == 0:
-        return MatchReport(
-            pairs=[],
-            recall=0.0 if nt else 1.0,
-            precision=0.0 if nt else 1.0,
-            unmatched_called=0,
-            unmatched_true=nt,
-        )
-    if nt == 0:
-        return MatchReport(pairs=[], recall=1.0, precision=0.0, unmatched_called=nc, unmatched_true=0)
-
-    dist = np.abs(np.subtract.outer(called, truth)).astype(np.float64)
-    # one infeasible edge must cost more than every feasible matching combined
-    big = tolerance_reads * (min(nc, nt) + 1.0) + 1.0
-    cost = np.where(dist <= tolerance_reads, dist, big)
-    n = max(nc, nt)
-    padded = np.full((n, n), big)
-    padded[:nc, :nt] = cost
-    rows, cols = linear_sum_assignment(padded)
-    pairs = [
-        (called[r], truth[c], int(dist[r, c]))
-        for r, c in zip(rows, cols)
-        if r < nc and c < nt and dist[r, c] <= tolerance_reads
-    ]
-    matched = len(pairs)
-    return MatchReport(
-        pairs=pairs,
-        recall=matched / nt,
-        precision=matched / nc,
-        unmatched_called=nc - matched,
-        unmatched_true=nt - matched,
-    )
+    unit = tolerance_reads * min(nc, nt) + 1
+    # int64 while no key or distance can overflow, exact Python ints beyond
+    ends = [abs(x) for x in called[:1] + called[-1:] + truth[:1] + truth[-1:]]
+    dtype = np.int64 if max([unit * (min(nc, nt) + 1), *ends]) < 2**62 else object
+    t = np.array(truth, dtype=dtype)
+    best = np.zeros((nc + 1, nt + 1), dtype=dtype)
+    for i, c in enumerate(called):
+        dist = np.abs(t - c)
+        # an infeasible pair gains nothing: best never falls along a row, so it never wins
+        gain = np.where(dist <= tolerance_reads, unit - dist, 0)
+        np.maximum(best[i, 1:], best[i, :-1] + gain, out=best[i + 1, 1:])
+        np.maximum.accumulate(best[i + 1], out=best[i + 1])
+    pairs, i, j = [], nc, nt
+    while i and j:
+        if best[i, j] == best[i - 1, j]:
+            i -= 1
+        elif best[i, j] == best[i, j - 1]:
+            j -= 1
+        else:
+            i, j = i - 1, j - 1
+            pairs.append((called[i], truth[j], abs(called[i] - truth[j])))
+    n = len(pairs)
+    return MatchReport(pairs=pairs[::-1], recall=n / nt if nt else 1.0,
+                       precision=n / nc if nc else float(nt == 0),
+                       unmatched_called=nc - n, unmatched_true=nt - n)

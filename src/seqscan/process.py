@@ -368,13 +368,17 @@ def read_positions(path, label_mode: bool = False) -> dict:
     {case, control} when ``label_mode`` is set; positions lie in
     [0, MAX_POSITION].  Returns {chrom: positions} in two-column mode and
     {chrom: (case positions, control positions)} in label mode, each array
-    in file order.  The line rules and errors are those of ``read_tsv``.
+    in file order.  The line rules and errors are those of ``read_tsv``, and
+    no chromosome name may hold '/' or NUL: it becomes part of a file name.
     """
-    ints = {"position": (0, MAX_POSITION)}
+    label = {"label": ("case", "control")} if label_mode else {}
+    table = read_tsv(path, ("chrom", "position", *label), {"position": (0, MAX_POSITION)}, label)
+    for chrom in table:  # one check per distinct name, never per row
+        if "/" in chrom or "\0" in chrom:
+            raise InputError(f"{path}: chromosome {chrom!r} holds '/' or NUL, which no output "
+                             "file name can")
     if not label_mode:
-        table = read_tsv(path, ("chrom", "position"), ints)
         return {chrom: cols["position"] for chrom, cols in table.items()}
-    table = read_tsv(path, ("chrom", "position", "label"), ints, {"label": ("case", "control")})
     return {chrom: (cols["position"][cols["label"] == 0], cols["position"][cols["label"] == 1])
             for chrom, cols in table.items()}
 

@@ -142,13 +142,19 @@ class TestSegmentCommand:
         "min_seg_bp_below_one", "span_bins_above_bound", "control_bins_above_bound",
         "span_bp_above_max_position", "case_position_above_max", "layout_cannot_fit",
         "truth_bp_negative", "truth_bp_above_max", "chrom_comment", "chrom_tab",
-        "chrom_newline", "chrom_carriage_return",
+        "chrom_newline", "chrom_carriage_return", "chrom_slash", "chrom_nul",
+        "segment_chrom_slash", "segment_chrom_nul", "mbic_curve_chrom_slash",
+        "mbic_curve_chrom_nul",
     ])
     def test_input_error_exit_code(self, tmp_path, capsys, monkeypatch, mistake):
         def no_sampling(*args, **kwargs):
             raise AssertionError("reads were sampled before the mistake was reported")
 
+        def no_scan(*args, **kwargs):
+            raise AssertionError("reads were scanned before the mistake was reported")
+
         monkeypatch.setattr(cli, "sample_nhpp", no_sampling)
+        monkeypatch.setattr(cli, "cbs_segment", no_scan)
         case, control = tmp_path / "case.tsv", tmp_path / "control.tsv"
         write_reads(case, range(0, 400, 2))
         write_reads(control, range(1, 400, 2))
@@ -170,6 +176,15 @@ class TestSegmentCommand:
         )
         write_reads(tmp_path / "far.tsv", [0, 10**11])  # 10**8 + 1 bins of 1 kb
         write_reads(tmp_path / "beyond.tsv", [5, 10**15 + 1])
+        # names that cannot be part of the file name mbic_<chrom>.tsv
+        write_reads(tmp_path / "slash.tsv", range(0, 400, 2), chrom="a/b")
+        write_reads(tmp_path / "nul.tsv", range(1, 400, 2), chrom="a\0b")
+        (tmp_path / "slash_reads.tsv").write_text(
+            "".join(f"a/b\t{p}\t{('case', 'control')[p % 2]}\n" for p in range(400))
+        )
+        (tmp_path / "nul_reads.tsv").write_text(
+            "".join(f"a\0b\t{p}\t{('case', 'control')[p % 2]}\n" for p in range(400))
+        )
         out = tmp_path / "out"
         pair = ["--case", str(case), "--control", str(control)]
         segment = ["segment", *pair, "--out-dir", str(out)]
@@ -217,6 +232,15 @@ class TestSegmentCommand:
             "chrom_tab": simulate + ["--chrom", "chr\t1"],
             "chrom_newline": simulate + ["--chrom", "chr1\nchr2"],
             "chrom_carriage_return": simulate + ["--chrom", "chr1\r"],
+            "chrom_slash": simulate + ["--chrom", "chr1/2"],
+            "chrom_nul": simulate + ["--chrom", "chr1\0"],
+            "segment_chrom_slash": segment + ["--case", str(tmp_path / "slash.tsv")],
+            "segment_chrom_nul": ["segment", "--reads", str(tmp_path / "nul_reads.tsv"),
+                                  "--out-dir", str(out)],
+            "mbic_curve_chrom_slash": ["mbic-curve", "--reads", str(tmp_path / "slash_reads.tsv"),
+                                       "--out-dir", str(out)],
+            "mbic_curve_chrom_nul": ["mbic-curve", *pair, "--control", str(tmp_path / "nul.tsv"),
+                                     "--out-dir", str(out)],
         }[mistake]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err.splitlines()
@@ -540,16 +564,17 @@ SMALL_VALID = {
 
 
 def test_cli_import_skips_scipy_optimize():
+    # importing the CLI loads no scipy module at all, scipy.optimize included
     import subprocess
     import sys
 
     # the child imports the same seqscan as this process, installed or not
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import sys, seqscan.cli; print('scipy.optimize' in sys.modules)"
+    probe = "import sys, seqscan.cli; print(sorted(k for k in sys.modules if k.startswith('scipy')))"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.split() == ["False"]
+    assert out.stdout.split() == ["[]"]
 
 
 def test_benchmark_tracer_installs():
@@ -622,11 +647,12 @@ def test_benchmark_reference_outputs(tmp_path):
 
 
 @pytest.mark.parametrize("command,threads", [
-    (None, 1), ("mbic-curve", 1), ("mbic-curve", 2), ("segment", 1), ("segment", 2),
+    ("mbic-curve", 1), ("mbic-curve", 2), ("segment", 1), ("segment", 2), ("simulate", 1),
+    ("evaluate", 1),
 ])
-def test_no_command_but_evaluate_loads_scipy(tmp_path, command, threads):
-    # scipy.special takes about 0.3 s to load: importing the CLI, mbic-curve and
-    # segment with its band load no scipy module, in one process or with workers
+def test_no_command_loads_scipy(tmp_path, command, threads):
+    # seqscan needs numpy alone at run time: no command loads a scipy module,
+    # in one process or with workers (importing the CLI is checked above)
     import json
     import subprocess
     import sys
@@ -639,11 +665,21 @@ def test_no_command_but_evaluate_loads_scipy(tmp_path, command, threads):
                 pos = np.concatenate([rng.integers(0, 10**5, 300),
                                       rng.integers(0, 2 * 10**4, gained)])
                 fh.writelines(f"{chrom}\t{p}\n" for p in np.sort(pos))
-    argv = [command, "--case", str(case), "--control", str(control), "--out-dir",
-            str(tmp_path / "out"), "--threads", str(threads), "--max-k", "4"] if command else []
+    (tmp_path / "truth.tsv").write_text("chr1\t1000\t20000\t1.5\n")
+    (tmp_path / "calls.tsv").write_text(
+        "chr1\t0\t9\t1\t99\t0\t0\t0.5\t1\nchr1\t10\t99\t100\t300\t0\t0\t0.5\t1\n"
+    )
+    argv = {
+        "simulate": ["--span-bp", "200000", "--reads", "300", "--n-segments", "2",
+                     "--min-seg-bp", "20000", "--max-seg-bp", "40000"],
+        "evaluate": ["--case", str(case), "--control", str(control), "--truth",
+                     str(tmp_path / "truth.tsv"), "--calls", str(tmp_path / "calls.tsv")],
+    }.get(command, ["--case", str(case), "--control", str(control), "--threads", str(threads),
+                    "--max-k", "4"])
+    argv = [command, *argv, "--out-dir", str(tmp_path / "out")]
     probe = ("import json, sys\n"
              "from seqscan.cli import main\n"
-             "rc = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+             "rc = main(sys.argv[1:])\n"
              "print(json.dumps([rc, sorted(k for k in sys.modules if k.startswith('scipy'))]))")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -1,7 +1,9 @@
+from collections import Counter
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from seqscan import match_changepoints, nearest_read_index
 
@@ -22,6 +24,39 @@ def brute_force_match(called, truth, tol):
         if best is not None:
             return size, best
     return 0, 0
+
+
+def assignment_match(called, truth, tol):
+    """(matched pairs, total distance) by a padded square assignment problem.
+
+    An infeasible edge costs more than every feasible matching combined, so
+    the minimum-cost assignment has the most pairs within ``tol`` and, among
+    those, the least total distance.
+    """
+    nc, nt = len(called), len(truth)
+    if nc == 0 or nt == 0:
+        return 0, 0
+    dist = np.abs(np.subtract.outer(called, truth)).astype(np.float64)
+    big = tol * (min(nc, nt) + 1.0) + 1.0
+    n = max(nc, nt)
+    padded = np.full((n, n), big)
+    padded[:nc, :nt] = np.where(dist <= tol, dist, big)
+    rows, cols = linear_sum_assignment(padded)
+    kept = [int(dist[r, c]) for r, c in zip(rows, cols)
+            if r < nc and c < nt and dist[r, c] <= tol]
+    return len(kept), sum(kept)
+
+
+def check_report(rep, called, truth, tol):
+    """The report's pairs lie within ``tol`` and use each input point at most once."""
+    for c, t, d in rep.pairs:
+        assert d == abs(c - t) <= tol
+    assert not Counter(c for c, _, _ in rep.pairs) - Counter(called)
+    assert not Counter(t for _, t, _ in rep.pairs) - Counter(truth)
+    nc, nt, n = len(called), len(truth), rep.n_matched
+    assert rep.recall == (n / nt if nt else 1.0)
+    assert rep.precision == (n / nc if nc else float(nt == 0))
+    assert (rep.unmatched_called, rep.unmatched_true) == (nc - n, nt - n)
 
 
 class TestMatchChangepoints:
@@ -60,6 +95,39 @@ class TestMatchChangepoints:
             truth = sorted(rng.integers(0, 800, nt).tolist())
             rep = match_changepoints(called, truth, 100)
             size, tot = brute_force_match(called, truth, 100)
+            assert rep.n_matched == size
+            assert sum(d for _, _, d in rep.pairs) == tot
+
+    def test_matches_assignment_solver(self):
+        # the minimum-cost assignment is the reference: pair count and total
+        # distance must agree, though tied optima may pair different points
+        rng = np.random.default_rng(4)
+        for case in range(3000):
+            nc, nt = (int(n) for n in rng.integers(0, 81, 2))
+            if case % 10 == 0:
+                nc, nt = (0, nt) if case % 20 else (nc, 0)
+            span = int(rng.choice([50, 400, 5000]))  # a span of 50 repeats positions
+            tol = int(rng.choice([0, int(rng.integers(1, 1001))]))
+            called = rng.integers(0, span, nc).tolist()
+            truth = rng.integers(0, span, nt).tolist()
+            rep = match_changepoints(called, truth, tol)
+            check_report(rep, called, truth, tol)
+            assert (rep.n_matched, sum(d for _, _, d in rep.pairs)) == assignment_match(
+                sorted(called), sorted(truth), tol)
+
+    def test_exact_beyond_int64_keys(self):
+        # tolerances up to 1e18 make pairs * unit overflow int64, and positions
+        # beyond 2**63 do not fit it: both need exact integer keys
+        rng = np.random.default_rng(5)
+        for case in range(300):
+            nc, nt = int(rng.integers(0, 6)), int(rng.integers(0, 6))
+            base, spread = (10**15, 10**4) if case % 3 else (2**70, 10**18)
+            tol = int(rng.choice([10**18, int(rng.integers(0, spread))]))
+            called = [base + int(x) for x in rng.integers(0, spread, nc)]
+            truth = [base + int(x) for x in rng.integers(0, spread, nt)]
+            rep = match_changepoints(called, truth, tol)
+            check_report(rep, called, truth, tol)
+            size, tot = brute_force_match(called, truth, tol)
             assert rep.n_matched == size
             assert sum(d for _, _, d in rep.pairs) == tot
 
