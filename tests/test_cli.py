@@ -647,12 +647,12 @@ def test_benchmark_reference_outputs(tmp_path):
 
 
 @pytest.mark.parametrize("command,threads", [
-    ("mbic-curve", 1), ("mbic-curve", 2), ("segment", 1), ("segment", 2), ("simulate", 1),
-    ("evaluate", 1),
+    (None, 1), ("mbic-curve", 1), ("mbic-curve", 2), ("segment", 1), ("segment", 2),
+    ("simulate", 1), ("evaluate", 1),
 ])
 def test_no_command_loads_scipy(tmp_path, command, threads):
-    # seqscan needs numpy alone at run time: no command loads a scipy module,
-    # in one process or with workers (importing the CLI is checked above)
+    # seqscan needs numpy alone at run time: importing the CLI (command None) and
+    # every command load no scipy module, in one process or with workers
     import json
     import subprocess
     import sys
@@ -676,10 +676,10 @@ def test_no_command_loads_scipy(tmp_path, command, threads):
                      str(tmp_path / "truth.tsv"), "--calls", str(tmp_path / "calls.tsv")],
     }.get(command, ["--case", str(case), "--control", str(control), "--threads", str(threads),
                     "--max-k", "4"])
-    argv = [command, *argv, "--out-dir", str(tmp_path / "out")]
+    argv = [command, *argv, "--out-dir", str(tmp_path / "out")] if command else []
     probe = ("import json, sys\n"
              "from seqscan.cli import main\n"
-             "rc = main(sys.argv[1:])\n"
+             "rc = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
              "print(json.dumps([rc, sorted(k for k in sys.modules if k.startswith('scipy'))]))")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
